@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
-"""Shared plumbing for the repo's lint family (ct_lint, parser_lint,
-lock_lint, secret_flow_lint).
+"""Shared plumbing for the repo's lint family (parser_lint, lock_lint,
+secret_flow_lint).
 
 Each lint keeps its own rules; what lives here is the machinery they were
 duplicating:
@@ -9,7 +9,6 @@ duplicating:
   * strip_strings_and_comments — blanks string/char literals and trailing
                          // comments so pattern rules do not fire in them;
   * iter_sources / module_of — tree walking over src/ *.h / *.cpp;
-  * suppression_pattern — builds the `// tag:ok`-style suppression regex;
   * function_bodies / declaration_after — brace-matched C++ extraction
                          helpers for body-level rules;
   * SelfTestTree       — scratch-tree scaffolding for the seeded
@@ -84,19 +83,6 @@ def iter_sources(src_root: Path, globs: tuple[str, ...] = SOURCE_GLOBS):
     """All source files under src_root, sorted for stable output."""
     for glob in globs:
         yield from sorted(src_root.rglob(glob))
-
-
-def sources_by_module(src_root: Path) -> dict[str, list[Path]]:
-    by_module: dict[str, list[Path]] = {}
-    for path in iter_sources(src_root):
-        by_module.setdefault(module_of(path, src_root), []).append(path)
-    return by_module
-
-
-def suppression_pattern(tag: str, variants: str = "ok") -> re.Pattern[str]:
-    """`// ct:ok`, `// sf:ok(reason)`, ... — a comment on the flagged
-    line that marks the pattern as deliberate."""
-    return re.compile(rf"//\s*{re.escape(tag)}:(?:{variants})\b")
 
 
 def declaration_after(lines: list[str], start: int) -> tuple[str, int]:

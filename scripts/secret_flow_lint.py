@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
-"""Whole-program secret-flow lint: the analysis half of the Secret<T>
-taint layer (src/common/secret.h).
+"""Secret-hygiene lint: the analysis half of the Secret<T> taint layer
+(src/common/secret.h), and the static leg of the constant-time policy
+(the dynamic leg is the ctcheck harness in src/ct).
 
 The type system already stops a `Secret<T>` converting back to T without
 an explicit `expose_secret()` (taint-preserving borrow) or
@@ -10,9 +11,11 @@ return value — into code that is variable-time or externally visible.
 This lint closes that gap.
 
 Taint sources
-  * values of type `Secret<...>`;
-  * identifiers declared on a `// ct:secret` line (same annotation
-    ct_lint.py keys on).
+  * a `Secret<...>` declaration (member, local, or function returning
+    one) taints that name across its module directory (src/ec,
+    src/oprf, ...);
+  * a `Secret<...>` function parameter taints that name inside the
+    function's own body only.
 Taint propagates through assignments and (one level of call-graph)
 name-matched function parameters. It does NOT cross the DL boundary:
 a group element computed from a secret scalar (RistrettoPoint,
@@ -36,17 +39,23 @@ Rules
   S5  declassification reasons and the DESIGN.md registry drifting: a
       reason used in code but missing from the table between the
       `<!-- declassify-registry:begin/end -->` markers, or a table row
-      no code site uses.
+      no code site uses;
+  R1  memcmp / std::memcmp anywhere in a crypto module — byte compares
+      there must go through ct_equal;
+  R3  a tainted value in an if/while/for/switch condition, before a
+      ternary `?`, on either side of `==`/`!=`, or next to `/`/`%` —
+      secret-dependent control flow or variable-latency arithmetic;
+  R4  a tainted value inside an index expression `[...]` —
+      secret-dependent memory addressing.
+R3/R4 skip the bodies of CBL_VARTIME functions: S1 already proves their
+inputs are public.
 
 Suppression: `// sf:ok(reason)` on the flagged line.
 
-Front-ends: when the clang python bindings and a compile_commands.json
-are available the analyzer walks real ASTs (CBL_VARTIME is a clang
-`annotate` attribute); otherwise it falls back to a regex analysis of
-the same rules and says so. Exit 0 clean / 1 findings / 2 usage error.
+Exit 0 clean / 1 findings / 2 usage error.
 
 Usage:
-  scripts/secret_flow_lint.py [--root DIR] [--self-test] [--force-fallback]
+  scripts/secret_flow_lint.py [--root DIR] [--self-test]
 """
 
 from __future__ import annotations
@@ -57,17 +66,20 @@ import sys
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
-from lintlib import (Finding, SOURCE_GLOBS, SelfTestTree, check_self_test,
-                     module_of, strip_strings_and_comments,
-                     suppression_pattern)
+from lintlib import (Finding, SelfTestTree, check_self_test, iter_sources,
+                     module_of, strip_strings_and_comments)
 
-SUPPRESS = suppression_pattern("sf")
+SUPPRESS = re.compile(r"//\s*sf:ok\b")
 
-SECRET_ANNOT = re.compile(r"//.*\bct:secret\b")
-SECRET_DECL = re.compile(r"\bSecret\s*<[^;=({]*>\s*(?:&\s*)?"
-                         r"([A-Za-z_][A-Za-z0-9_]*)\s*[;={(,)]")
-DECL_NAME = re.compile(
-    r"\b([A-Za-z_][A-Za-z0-9_]*)\s*(?:\[[^\]]*\])?\s*(?:[;={]|=)")
+CRYPTO_MODULES = {"ec", "oprf", "hash", "commit", "vrf", "nizk", "common"}
+
+# `Secret<T> name`, `const Secret<T>& name`, CTAD `Secret name = ...`,
+# optionally followed by attribute macros (`CBL_GUARDED_BY(mu)`). The
+# terminator tells a parameter (`,` / `)`) from a declaration.
+SECRET_DECL = re.compile(
+    r"\bSecret\s*(?:<[^;=({]*?>\s*&?\s*|\s+(?=\w+\s*=))"
+    r"([A-Za-z_][A-Za-z0-9_]*)\s*"
+    r"(?:[A-Z][A-Z0-9_]*\s*\([^)]*\)\s*)*([;={(,)])")
 VARTIME_DEF = re.compile(r"\bCBL_VARTIME\b")
 VARTIME_JUSTIFY = re.compile(r"//\s*vartime:\s*public-inputs-only\b")
 FUNC_NAME_AFTER_VARTIME = re.compile(
@@ -83,10 +95,6 @@ STRING_REASON = re.compile(r'^\s*"([^"]+)"')
 PUBLIC_TYPES = re.compile(
     r"\b(?:RistrettoPoint|Commitment|Encoding|Proof|DleqProof|"
     r"SchnorrProof|bool|void)\b")
-SCALARISH_DECL = re.compile(
-    r"\b(?:(?:ec::)?Scalar|Secret\s*<[^>]*>|auto|Bytes|"
-    r"std::array\s*<\s*(?:std::)?uint8_t[^>]*>)\s+(?:const\s+)?&?\s*"
-    r"([A-Za-z_][A-Za-z0-9_]*)\s*[=;{]")
 ASSIGN = re.compile(
     r"(?:^|[;{(]\s*)(?:const\s+)?(?:[\w:<>,&*\s]+?\s)?"
     r"([A-Za-z_][A-Za-z0-9_]*)\s*=\s*([^;]+);")
@@ -102,25 +110,31 @@ SINK_CALLS = (
     re.compile(r"\blog(?:_line)?\s*\("),
 )
 
+# Constant-time rules (R1/R3/R4).
+MEMCMP = re.compile(r"\b(?:std::)?memcmp\s*\(")
+BRANCH = re.compile(r"\b(?:if|while|for|switch)\s*\(")
+COMPARE = re.compile(r"[=!]=")
+DIVIDE = re.compile(r"[%/](?!=)")
+INDEX = re.compile(r"\[([^\]]*)\]")
+
+# Function bodies and the one-level call graph.
+FUNC_HEAD = re.compile(r"\s*(?:(?:const|noexcept|override|final)\b\s*)*\{")
+CALL = re.compile(r"\b([A-Za-z_][A-Za-z0-9_]*)\s*\(([^;{]*)\)")
+CALL_SKIP = {"Secret", "if", "while", "for", "switch", "return", "sizeof",
+             "expose_secret", "reveal_for", "wipe", "declassify"}
+PARAM_NAME = re.compile(r"([A-Za-z_][A-Za-z0-9_]*)\s*(?:=[^,]*)?$")
+
 REGISTRY_BEGIN = "<!-- declassify-registry:begin -->"
 REGISTRY_END = "<!-- declassify-registry:end -->"
 
 
 # --------------------------------------------------------------------------
-# Shared collection (both front-ends)
+# Tree-wide collection
 
-def iter_files(src_root: Path) -> list[Path]:
-    out: list[Path] = []
-    for glob in SOURCE_GLOBS:
-        out.extend(sorted(src_root.rglob(glob)))
-    return out
-
-
-def load_registry(design_md: Path,
-                  findings: list[Finding]) -> set[str] | None:
+def load_registry(design_md: Path) -> set[str] | None:
     """Reasons listed in DESIGN.md's declassification registry table.
-    Returns None (and no finding) when the file or markers are absent —
-    the self-test trees don't carry a DESIGN.md."""
+    Returns None when the file or markers are absent — the self-test
+    trees don't carry a DESIGN.md."""
     if not design_md.is_file():
         return None
     text = design_md.read_text(encoding="utf-8")
@@ -146,7 +160,7 @@ def collect_vartime(files: list[Path], findings: list[Finding]
         lines = path.read_text(encoding="utf-8").splitlines()
         for i, raw in enumerate(lines):
             if raw.lstrip().startswith("#"):
-                continue  # the macro's own #define / #if lines
+                continue  # the macro's own #define line
             if not VARTIME_DEF.search(strip_strings_and_comments(raw)):
                 continue
             decl = " ".join(lines[i:i + 3])
@@ -161,8 +175,6 @@ def collect_vartime(files: list[Path], findings: list[Finding]
                     path, i + 1, "S4",
                     "CBL_VARTIME function lacks a '// vartime: "
                     "public-inputs-only' justification comment"))
-    # The macro's own definition is not a function.
-    names.discard("annotate")
     return names
 
 
@@ -227,9 +239,6 @@ def check_registry_drift(design_md: Path, registry: set[str] | None,
             f"reveal_for site in the tree"))
 
 
-# --------------------------------------------------------------------------
-# Regex fallback front-end
-
 def collect_declared_types(files: list[Path]) -> dict[str, str]:
     """Tree-wide `identifier -> declared type` map ('public' for
     DL-boundary types, 'scalarish' for taint-capable ones). Conflicting
@@ -260,36 +269,101 @@ def collect_declared_types(files: list[Path]) -> dict[str, str]:
     return kinds
 
 
-def collect_taint_seeds(files: list[Path], src_root: Path
-                        ) -> dict[str, set[str]]:
-    """Per-module tainted identifiers: Secret<...> declarations plus
-    `// ct:secret` names (ct_lint's convention)."""
-    seeds: dict[str, set[str]] = {}
-    for path in files:
-        module = module_of(path, src_root)
-        names = seeds.setdefault(module, set())
-        for raw in path.read_text(encoding="utf-8").splitlines():
-            code = strip_strings_and_comments(raw)
-            for m in SECRET_DECL.finditer(code):
-                names.add(m.group(1))
-            if SECRET_ANNOT.search(raw):
-                m = DECL_NAME.search(raw.split("//", 1)[0])
-                if m:
-                    names.add(m.group(1))
-    return {k: v for k, v in seeds.items() if v}
+def stripped_lines(path: Path) -> list[str]:
+    return [strip_strings_and_comments(raw)
+            for raw in path.read_text(encoding="utf-8").splitlines()]
 
+
+def skip_parens(text: str, k: int, depth: int = 0) -> int:
+    """Index just past the `)` that brings `depth` back to 0, scanning
+    from text[k] (the end of the text when it never closes)."""
+    while k < len(text):
+        depth += {"(": 1, ")": -1}.get(text[k], 0)
+        k += 1
+        if depth == 0:
+            break
+    return k
+
+
+def body_span(text: str, k: int) -> tuple[int, int] | None:
+    """0-based [first, last] line range of the function body after a
+    parameter list that closes just before text[k]; None for a
+    declaration or a call."""
+    m = FUNC_HEAD.match(text, k)
+    if not m:
+        return None
+    depth = 0
+    for end in range(m.end() - 1, len(text)):
+        depth += {"{": 1, "}": -1}.get(text[end], 0)
+        if depth == 0:
+            break
+    return text.count("\n", 0, m.end()), text.count("\n", 0, end)
+
+
+def scopes(text: str, called: dict[str, set[int]]
+           ) -> dict[tuple[int, int], set[str]]:
+    """Names tainted only inside one function body (keyed by its line
+    span): its Secret<...> parameters, and the parameters some call site
+    in the tree passes a tainted value (the one-level call graph).
+    Declarations without a body taint nothing."""
+    out: dict[tuple[int, int], set[str]] = {}
+
+    def add(k: int, name: str) -> None:
+        span = body_span(text, k)
+        if span:
+            out.setdefault(span, set()).add(name)
+
+    for m in SECRET_DECL.finditer(text):
+        if m.group(2) in ",)":
+            add(skip_parens(text, m.start(2), 1), m.group(1))
+    for fname, indices in called.items():
+        for m in re.finditer(rf"\b{re.escape(fname)}\s*\(", text):
+            k = skip_parens(text, m.end() - 1)
+            params = text[m.end():k - 1].split(",")
+            for idx in indices & set(range(len(params))):
+                nm = PARAM_NAME.search(params[idx].strip())
+                if nm:
+                    add(k, nm.group(1))
+    return out
+
+
+def collect_taint_seeds(code: dict[Path, list[str]], src_root: Path
+                        ) -> dict[str, set[str]]:
+    """Per-module tainted identifiers: Secret<...> declarations that are
+    not function parameters (those are scoped by scopes())."""
+    seeds: dict[str, set[str]] = {}
+    for path, code_lines in code.items():
+        names = seeds.setdefault(module_of(path, src_root), set())
+        for m in SECRET_DECL.finditer("\n".join(code_lines)):
+            if m.group(2) not in ",)":
+                names.add(m.group(1))
+    return seeds
+
+
+def vartime_lines(text: str, vartime: set[str]) -> set[int]:
+    """0-based lines inside the bodies of CBL_VARTIME functions."""
+    lines: set[int] = set()
+    for name in vartime:
+        for m in re.finditer(rf"\b{re.escape(name)}\s*\(", text):
+            span = body_span(text, skip_parens(text, m.end() - 1))
+            if span:
+                lines.update(range(span[0], span[1] + 1))
+    return lines
+
+
+# --------------------------------------------------------------------------
+# Per-file taint and rules
 
 def propagate_file_taint(lines: list[str], tainted: set[str],
                          types: dict[str, str]) -> set[str]:
-    """Fixpoint over assignments in one file: `x = <expr mentioning a
-    tainted name>` taints x unless the expression crosses the DL
-    boundary (.encode()/hash_to_group/base()/reveal_for) or x has a
-    public declared type."""
+    """Fixpoint over assignments in (stripped) lines: `x = <expr
+    mentioning a tainted name>` taints x unless the expression crosses
+    the DL boundary (.encode()/hash_to_group/base()/reveal_for) or x has
+    a public declared type."""
     local = set(tainted)
     for _ in range(4):
         grew = False
-        for raw in lines:
-            code = strip_strings_and_comments(raw)
+        for code in lines:
             for m in ASSIGN.finditer(code):
                 lhs, rhs = m.group(1), m.group(2)
                 if lhs in local:
@@ -307,32 +381,111 @@ def propagate_file_taint(lines: list[str], tainted: set[str],
     return local
 
 
+def line_taint(code_lines: list[str], seeds: set[str],
+               types: dict[str, str],
+               scoped_names: dict[tuple[int, int], set[str]]
+               ) -> list[set[str]]:
+    """The tainted names visible on each line: module seeds propagated
+    through the file, plus scoped names (parameters) and what they
+    propagate into inside their own function body."""
+    base = propagate_file_taint(code_lines, seeds, types)
+    per_line = [base] * len(code_lines)
+    for (lo, hi), names in scoped_names.items():
+        scoped = propagate_file_taint(code_lines[lo:hi + 1], base | names,
+                                      types)
+        for i in range(lo, hi + 1):
+            per_line[i] = per_line[i] | scoped
+    return per_line
+
+
+def tainted_calls(text: str, taint: list[set[str]], vartime: set[str],
+                  tainted_params: dict[str, set[int]]) -> None:
+    """Records which parameters of which named functions receive a
+    tainted argument somewhere in `text`."""
+    for m in CALL.finditer(text):
+        fname, args = m.group(1), m.group(2)
+        if fname in CALL_SKIP or fname in vartime:
+            continue
+        local = taint[text.count("\n", 0, m.start())]
+        for idx, arg in enumerate(args.split(",")):
+            if taint_hits(arg, local):
+                tainted_params.setdefault(fname, set()).add(idx)
+
+
 def taint_hits(args: str, tainted: set[str]) -> list[str]:
     cleared = re.sub(r"\.\s*reveal_for\s*\([^)]*\)", "", args)
     return [t for t in sorted(tainted)
             if re.search(rf"\b{re.escape(t)}\b", cleared)]
 
 
-def scan_file_fallback(path: Path, tainted: set[str], vartime: set[str],
-                       types: dict[str, str],
-                       findings: list[Finding]) -> None:
-    lines = path.read_text(encoding="utf-8").splitlines()
-    local = propagate_file_taint(lines, tainted, types)
+def operands(code: str, start: int, end: int) -> str:
+    """Both operands of the binary operator at code[start:end]: out to
+    the enclosing unmatched parenthesis or a top-level `,` on the left,
+    and to an unmatched `)` or a top-level `,;&|` on the right."""
+    depth, i = 0, start
+    while i > 0 and not (depth == 0 and code[i - 1] in "(,"):
+        depth += {")": 1, "(": -1}.get(code[i - 1], 0)
+        i -= 1
+    depth, j = 0, end
+    while j < len(code) and not (depth == 0 and code[j] in "),;&|"):
+        depth += {"(": 1, ")": -1}.get(code[j], 0)
+        j += 1
+    return code[i:start] + " " + code[end:j]
+
+
+def ct_findings(code: str, tainted: set[str]) -> list[tuple[str, str]]:
+    """R3/R4 on one stripped line: (rule, message) pairs."""
+    out = []
+    for m in BRANCH.finditer(code):
+        if taint_hits(code[m.end():skip_parens(code, m.end() - 1)],
+                      tainted):
+            out.append(("R3", "secret-dependent branch — use ct_select/"
+                              "ct_swap or masked arithmetic"))
+            break
+    if "?" in code and taint_hits(code.split("?", 1)[0], tainted):
+        out.append(("R3", "ternary on a secret value — use ct_select"))
+    for m in COMPARE.finditer(code):
+        if taint_hits(operands(code, m.start(), m.end()), tainted):
+            out.append(("R3", "==/!= on a secret value — use cbl::ct_equal"))
+            break
+    for m in DIVIDE.finditer(code):
+        if taint_hits(code[max(0, m.start() - 40):m.start() + 40], tainted):
+            out.append(("R3", "division/modulo on a secret value — "
+                              "variable-latency on many cores"))
+            break
+    for m in INDEX.finditer(code):
+        if taint_hits(m.group(1), tainted):
+            out.append(("R4", "secret value used as/inside an array index "
+                              "— secret-dependent addressing"))
+            break
+    return out
+
+
+def scan_file(path: Path, module: str, code_lines: list[str],
+              taint: list[set[str]], vartime: set[str],
+              findings: list[Finding]) -> None:
+    raw_lines = path.read_text(encoding="utf-8").splitlines()
+    in_vartime = vartime_lines("\n".join(code_lines), vartime)
     writers: set[str] = set()
     vt_pat = (re.compile(
         r"\b(" + "|".join(re.escape(v) for v in sorted(vartime)) +
         r")\s*\(([^;]*)\)") if vartime else None)
-    for i, raw in enumerate(lines):
-        code = strip_strings_and_comments(raw)
+    for i, (raw, code) in enumerate(zip(raw_lines, code_lines)):
         if SUPPRESS.search(raw):
             continue
+        local = taint[i]
+        if module in CRYPTO_MODULES and MEMCMP.search(code):
+            findings.append(Finding(
+                path, i + 1, "R1",
+                "memcmp in a crypto module — use cbl::ct_equal"))
+        if i not in in_vartime:
+            for rule, msg in ct_findings(code, local):
+                findings.append(Finding(path, i + 1, rule, msg))
         for m in WIREWRITER_DECL.finditer(code):
             writers.add(m.group(1))
         # S1: tainted argument to a vartime callee.
-        if vt_pat:
+        if vt_pat and not VARTIME_DEF.search(code):
             for m in vt_pat.finditer(code):
-                if VARTIME_DEF.search(code):
-                    continue  # the definition itself, not a call
                 hits = taint_hits(m.group(2), local)
                 if hits:
                     findings.append(Finding(
@@ -345,7 +498,7 @@ def scan_file_fallback(path: Path, tainted: set[str], vartime: set[str],
             sink_here = any(re.search(rf"\b{re.escape(w)}\s*\.", code)
                             for w in writers)
         if sink_here:
-            window = lines[max(0, i - 2):i + 1]
+            window = raw_lines[max(0, i - 2):i + 1]
             if any(DECLASSIFY_ANNOT.search(w) for w in window):
                 continue
             hits = taint_hits(code, local)
@@ -356,265 +509,126 @@ def scan_file_fallback(path: Path, tainted: set[str], vartime: set[str],
                     f"without a ct:declassify(reason) annotation"))
 
 
-def interprocedural_pass(files: list[Path], seeds_by_module: dict[str, set[str]],
-                         src_root: Path, vartime: set[str],
-                         types: dict[str, str],
-                         findings: list[Finding]) -> None:
-    """One worklist round over the name-matched call graph: find calls
-    that pass a tainted value into a named function, then re-scan that
-    function's definitions with the receiving parameters tainted."""
-    from lintlib import function_bodies
-
-    texts = {p: p.read_text(encoding="utf-8") for p in files}
-    call = re.compile(r"\b([A-Za-z_][A-Za-z0-9_]*)\s*\(([^;{]*)\)")
-    tainted_params: dict[str, set[int]] = {}
-    skip = {"Secret", "if", "while", "for", "switch", "return", "sizeof",
-            "expose_secret", "reveal_for", "wipe", "declassify"}
-    for path in files:
-        module = module_of(path, src_root)
-        tainted = seeds_by_module.get(module, set())
-        if not tainted:
-            continue
-        local = propagate_file_taint(texts[path].splitlines(), tainted,
-                                     types)
-        for m in call.finditer(texts[path]):
-            fname, args = m.group(1), m.group(2)
-            if fname in skip or fname in vartime:
-                continue
-            for idx, arg in enumerate(args.split(",")):
-                if taint_hits(arg, local):
-                    tainted_params.setdefault(fname, set()).add(idx)
-    if not tainted_params:
-        return
-    param_decl = re.compile(r"([A-Za-z_][A-Za-z0-9_]*)\s*(?:=[^,]*)?$")
-    for path in files:
-        text = texts[path]
-        for fname, indices in tainted_params.items():
-            if not re.search(rf"\b{re.escape(fname)}\s*\(", text):
-                continue
-            for lineno, body in function_bodies(text, fname):
-                # Parameter names from the definition line.
-                header = text.splitlines()[lineno - 1]
-                pm = re.search(rf"{re.escape(fname)}\s*\(([^)]*)", header)
-                if not pm:
-                    continue
-                params = pm.group(1).split(",")
-                names = set()
-                for idx in indices:
-                    if idx < len(params):
-                        nm = param_decl.search(params[idx].strip())
-                        if nm:
-                            names.add(nm.group(1))
-                if not names:
-                    continue
-                body_lines = body.splitlines()
-                sub = propagate_file_taint(body_lines, names, types)
-                vt_pat = (re.compile(
-                    r"\b(" + "|".join(re.escape(v)
-                                      for v in sorted(vartime)) +
-                    r")\s*\(([^;]*)\)") if vartime else None)
-                if not vt_pat:
-                    continue
-                for off, raw in enumerate(body_lines):
-                    code = strip_strings_and_comments(raw)
-                    if SUPPRESS.search(raw):
-                        continue
-                    for m in vt_pat.finditer(code):
-                        hits = taint_hits(m.group(2), sub)
-                        if hits:
-                            findings.append(Finding(
-                                path, lineno + off, "S1",
-                                f"tainted parameter value(s) "
-                                f"{', '.join(hits)} passed to variable-"
-                                f"time function '{m.group(1)}' (via "
-                                f"call-graph taint of '{fname}')"))
-
-
-def run_fallback(root: Path) -> tuple[list[Finding], int]:
+def run(root: Path) -> tuple[list[Finding], int]:
     src_root = root / "src"
-    files = iter_files(src_root)
+    files = list(iter_sources(src_root))
     findings: list[Finding] = []
-    registry = load_registry(root / "DESIGN.md", findings)
+    registry = load_registry(root / "DESIGN.md")
     vartime = collect_vartime(files, findings)
     used = check_declassify_sites(files, registry, findings)
     check_registry_drift(root / "DESIGN.md", registry, used, findings)
     types = collect_declared_types(files)
-    seeds = collect_taint_seeds(files, src_root)
+    code = {path: stripped_lines(path) for path in files}
+    seeds = collect_taint_seeds(code, src_root)
+
+    def taint_of(path: Path, called: dict[str, set[int]]
+                 ) -> list[set[str]]:
+        return line_taint(code[path], seeds[module_of(path, src_root)],
+                          types, scopes("\n".join(code[path]), called))
+
+    # Two passes: find the calls that hand a tainted value to a named
+    # function, then scan every file with those parameters tainted too.
+    called: dict[str, set[int]] = {}
     for path in files:
-        module = module_of(path, src_root)
-        tainted = seeds.get(module, set())
-        if tainted:
-            scan_file_fallback(path, tainted, vartime, types, findings)
-    interprocedural_pass(files, seeds, src_root, vartime, types, findings)
-    # Stable order, no duplicates (interprocedural + local can agree).
-    seen: set[str] = set()
-    unique = []
-    for f in sorted(findings, key=lambda f: (str(f.path), f.lineno, f.rule)):
-        if str(f) not in seen:
-            seen.add(str(f))
-            unique.append(f)
-    return unique, len(files)
-
-
-# --------------------------------------------------------------------------
-# libclang front-end
-
-def try_libclang():
-    try:
-        import clang.cindex as cindex  # type: ignore
-        idx = cindex.Index.create()
-        return cindex, idx
-    except Exception:
-        return None, None
-
-
-def run_libclang(root: Path, cindex, index) -> tuple[list[Finding], int] | None:
-    """AST-level analysis over compile_commands.json. Returns None when
-    no compilation database is usable (caller falls back)."""
-    db_dirs = [root / "build", root / "build-ci" / "release"]
-    db = None
-    for d in db_dirs:
-        if (d / "compile_commands.json").is_file():
-            try:
-                db = cindex.CompilationDatabase.fromDirectory(str(d))
-                break
-            except Exception:
-                continue
-    if db is None:
-        return None
-
-    findings: list[Finding] = []
-    src_root = root / "src"
-    files = iter_files(src_root)
-    registry = load_registry(root / "DESIGN.md", findings)
-    vartime = collect_vartime(files, findings)
-    used = check_declassify_sites(files, registry, findings)
-    check_registry_drift(root / "DESIGN.md", registry, used, findings)
-
-    ck = cindex.CursorKind
-
-    def is_vartime(decl) -> bool:
-        return any(c.kind == ck.ANNOTATE_ATTR and
-                   c.spelling == "cbl::vartime"
-                   for c in decl.get_children())
-
-    def is_secret_type(t) -> bool:
-        return "Secret<" in t.spelling
-
-    def expr_tainted(node) -> bool:
-        """A reference to a Secret-typed value (or a member annotated
-        ct:secret) anywhere under this expression, unless it passes
-        through reveal_for."""
-        if node.kind == ck.CALL_EXPR and node.spelling == "reveal_for":
-            return False
-        if node.kind in (ck.DECL_REF_EXPR, ck.MEMBER_REF_EXPR):
-            if node.type is not None and is_secret_type(node.type):
-                return True
-            ref = node.referenced
-            if ref is not None and ref.type is not None and \
-                    is_secret_type(ref.type):
-                return True
-        return any(expr_tainted(c) for c in node.get_children())
-
-    scanned = 0
-    suppressed_lines: dict[str, set[int]] = {}
-
-    def line_suppressed(fname: str, line: int) -> bool:
-        if fname not in suppressed_lines:
-            marks: set[int] = set()
-            try:
-                for i, raw in enumerate(
-                        Path(fname).read_text(encoding="utf-8")
-                        .splitlines(), start=1):
-                    if SUPPRESS.search(raw):
-                        marks.add(i)
-            except OSError:
-                pass
-            suppressed_lines[fname] = marks
-        return line in suppressed_lines[fname]
-
-    for path in sorted({Path(c.filename)
-                        for c in db.getAllCompileCommands()}):
-        if src_root not in path.parents and path.parent != src_root:
-            continue
-        cmds = db.getCompileCommands(str(path))
-        if not cmds:
-            continue
-        args = [a for a in list(cmds[0].arguments)[1:-1]
-                if a not in ("-c", "-o", str(path))]
-        try:
-            tu = index.parse(str(path), args=args)
-        except Exception:
-            continue
-        scanned += 1
-        for node in tu.cursor.walk_preorder():
-            if node.location.file is None or \
-                    Path(node.location.file.name) != path:
-                continue
-            if node.kind != ck.CALL_EXPR:
-                continue
-            callee = node.referenced
-            if callee is None or not is_vartime(callee):
-                continue
-            for arg in node.get_arguments():
-                if expr_tainted(arg):
-                    loc = node.location
-                    if line_suppressed(loc.file.name, loc.line):
-                        continue
-                    findings.append(Finding(
-                        Path(loc.file.name), loc.line, "S1",
-                        f"tainted value passed to variable-time "
-                        f"function '{callee.spelling}'"))
-    if scanned == 0:
-        return None
-    return findings, scanned
+        tainted_calls("\n".join(code[path]), taint_of(path, {}), vartime,
+                      called)
+    for path in files:
+        scan_file(path, module_of(path, src_root), code[path],
+                  taint_of(path, called), vartime, findings)
+    findings.sort(key=lambda f: (str(f.path), f.lineno, f.rule))
+    return findings, len(files)
 
 
 # --------------------------------------------------------------------------
 
+# A crypto-module path: R1 is scoped to crypto modules. Every
+# `// want: RULE` line must be flagged with that rule.
 SELFTEST_BAD = """\
 #pragma once
+#include <cstring>
 #include "common/secret.h"
 // vartime: public-inputs-only — verification combines wire data.
 CBL_VARTIME int vartime_combine(int s);
 
-struct Spacer {};
+class Server {
+  Secret<ec::Scalar> half_mask_ CBL_GUARDED_BY(data_mutex_);
 
-CBL_VARTIME int vartime_unjustified(int s);
-
-struct Holder {
-  Secret<ec::Scalar> sk;
-  ec::Scalar legacy_mask;  // ct:secret
+  bool probe(const std::uint8_t* t, std::size_t i) const {
+    if (std::memcmp(t, t + 32, 32) == 0) return true;  // want: R1
+    if (half_mask_.expose_secret() == t[i]) return true;  // want: R3
+    const auto k = half_mask_.expose_secret().bytes()[0];
+    while (k) {}  // want: R3
+    const bool same = k != t[0];  // want: R3
+    const int pick = k ? 1 : 2;  // want: R3
+    const int q = 1000 / half_mask_.expose_secret().bytes()[1];  // want: R3
+    return t[half_mask_.expose_secret().bytes()[0]];  // want: R4
+  }
 };
 
-inline void leak(Holder& h, WireWriter& w) {
-  ec::Scalar copy = h.legacy_mask;
-  vartime_combine(copy);
-  w.scalar(h.legacy_mask);
-  const auto nr = h.sk.reveal_for("");
-  ct::declassify(&copy, sizeof copy);
-  const auto ok = h.sk.reveal_for("unregistered-reason");
+CBL_VARTIME int vartime_unjustified(int s);  // want: S4
+
+inline int lookup(const int* table, const Secret<ec::Scalar>& s) {
+  return table[s.expose_secret().bytes()[0]];  // want: R4
+}
+
+inline void forward(int x) { vartime_combine(x); }  // want: S1
+
+inline void leak(const Secret<ec::Scalar>& sk, WireWriter& w) {
+  ec::Scalar copy = sk.expose_secret();
+  vartime_combine(copy);  // want: S1
+  forward(copy);
+  w.scalar(sk.expose_secret());  // want: S2
+  const auto nr = sk.reveal_for("");  // want: S3
+  ct::declassify(&copy, sizeof copy);  // want: S3
+  const auto ok = sk.reveal_for("unregistered-reason");  // want: S5
 }
 """
 
 SELFTEST_GOOD = """\
 #pragma once
 #include "common/secret.h"
-// vartime: public-inputs-only — verification combines wire data.
-CBL_VARTIME int vartime_combine(int s);
+// vartime: public-inputs-only — combines public verification data.
+CBL_VARTIME int combine(const std::uint8_t* wire, int n);
 
-struct CleanHolder {
-  Secret<ec::Scalar> sk;
+class CleanServer {
+  Secret<ec::Scalar> half_mask_ CBL_GUARDED_BY(data_mutex_);
+
+  bool probe(const std::uint8_t* t, std::size_t n) const {
+    const bool eq = ct_equal(half_mask_.expose_secret().to_bytes(), t);
+    const auto p = ct_select(eq, t[0], t[1]);
+    for (std::size_t i = 0; i < n; ++i) use(m * half_mask_);
+    if (n == 0) return false;
+    return p != 0 && t[n / 2] == 0;
+  }
 };
 
-inline void fine(CleanHolder& h, WireWriter& w, int public_input) {
-  vartime_combine(public_input);
-  const auto r = h.sk.reveal_for("registered-reason");
+inline void publish(const Secret<ec::Scalar>& s, WireWriter& w, int n) {
+  combine(nullptr, n);
+  const auto r = s.reveal_for("registered-reason");
   // ct:declassify(registered-reason) — epoch export is public by design.
   ct::declassify(&r, sizeof r);
   w.scalar(r);
 }
+
+inline int parse(std::optional<ec::Scalar> s) {
+  if (!s) return 0;
+  return s->to_bytes()[0] == 0 ? 1 : 2;
+}
+
+inline void refresh(CleanServer& srv) {
+  auto bytes = srv.half_mask_.expose_secret().to_bytes();
+  secure_wipe(bytes.data(), bytes.size());
+}
+
+// `bytes` is tainted file-wide by refresh(); the body of a CBL_VARTIME
+// function is not checked (S1 proves its inputs public).
+int combine(const std::uint8_t* wire, int n) {
+  std::array<std::uint8_t, 32> bytes{};
+  return bytes[n] != wire[0] ? n / 2 : 0;
+}
 """
+
+WANT = re.compile(r"//\s*want:\s*([RS]\d)")
 
 SELFTEST_DESIGN = f"""\
 # Design
@@ -630,15 +644,20 @@ SELFTEST_DESIGN = f"""\
 
 def self_test() -> int:
     with SelfTestTree("secret_flow_lint") as tree:
-        tree.write("src/demo/bad.h", SELFTEST_BAD)
-        tree.write("src/demo/good.h", SELFTEST_GOOD)
+        tree.write("src/ec/bad.h", SELFTEST_BAD)
+        tree.write("src/ec/good.h", SELFTEST_GOOD)
         tree.write("DESIGN.md", SELFTEST_DESIGN)
-        findings, _ = run_fallback(tree.root)
-        return check_self_test(
-            "secret_flow_lint", findings,
-            expected_rules={"S1", "S2", "S3", "S4", "S5"},
-            bad_names={"bad.h", "DESIGN.md"},
-            clean_names={"good.h"})
+        findings, _ = run(tree.root)
+    flagged = {(f.lineno, f.rule) for f in findings if f.path.name == "bad.h"}
+    missed = [f"bad.h:{lineno} not flagged {rule}: {line.strip()}"
+              for lineno, line in enumerate(SELFTEST_BAD.splitlines(), 1)
+              for rule in WANT.findall(line) if (lineno, rule) not in flagged]
+    for msg in missed + ["FAIL"] * bool(missed):
+        print(f"secret_flow_lint self-test: {msg}")
+    return 1 if missed else check_self_test(
+        "secret_flow_lint", findings,
+        expected_rules={"S1", "S2", "S3", "S4", "S5", "R1", "R3", "R4"},
+        bad_names={"bad.h", "DESIGN.md"}, clean_names={"good.h"})
 
 
 def main() -> int:
@@ -647,8 +666,6 @@ def main() -> int:
                     help="repository root (default: the script's parent)")
     ap.add_argument("--self-test", action="store_true",
                     help="run the seeded-violation self-test")
-    ap.add_argument("--force-fallback", action="store_true",
-                    help="skip the libclang front-end even if available")
     args = ap.parse_args()
     if args.self_test:
         return self_test()
@@ -658,27 +675,12 @@ def main() -> int:
         print(f"secret_flow_lint: no src/ under {root}", file=sys.stderr)
         return 2
 
-    frontend = "fallback"
-    result = None
-    if not args.force_fallback:
-        cindex, index = try_libclang()
-        if cindex is not None:
-            result = run_libclang(root, cindex, index)
-            if result is not None:
-                frontend = "libclang"
-    if result is None:
-        if not args.force_fallback:
-            print("secret_flow_lint: libclang (python clang bindings + "
-                  "compile_commands.json) unavailable — using the regex "
-                  "fallback front-end")
-        result = run_fallback(root)
-
-    findings, scanned = result
+    findings, scanned = run(root)
     for f in findings:
         print(f)
     status = "FAIL" if findings else "OK"
     print(f"secret_flow_lint: {status} — {len(findings)} finding(s) over "
-          f"{scanned} file(s) [{frontend} front-end]")
+          f"{scanned} file(s)")
     return 1 if findings else 0
 
 

@@ -10,10 +10,10 @@
 
 namespace cbl::commit {
 
-// ct:key-holder — openings are the secrets of the commitment scheme.
+// Openings are the secrets of the commitment scheme.
 struct Opening {
-  Secret<ec::Scalar> value;       // ct:secret
-  Secret<ec::Scalar> randomness;  // ct:secret
+  Secret<ec::Scalar> value;
+  Secret<ec::Scalar> randomness;
 
   Opening() = default;
   Opening(const ec::Scalar& v, const ec::Scalar& r)

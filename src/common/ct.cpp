@@ -33,7 +33,7 @@ bool ct_equal(const std::uint8_t* a, const std::uint8_t* b,
 }
 
 bool ct_equal(ByteView a, ByteView b) noexcept {
-  if (a.size() != b.size()) return false;  // ct:public — lengths are public
+  if (a.size() != b.size()) return false;  // lengths are public
   return ct_equal(a.data(), b.data(), a.size());
 }
 

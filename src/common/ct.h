@@ -4,8 +4,8 @@
 // being processed — only on their (public) lengths. The crypto modules
 // (src/ec, src/oprf, src/hash, src/vrf, src/commit) must route every
 // comparison, selection, or swap of secret material through these
-// primitives; scripts/ct_lint.py and the ctcheck harness (src/ct) enforce
-// the discipline.
+// primitives; scripts/secret_flow_lint.py and the ctcheck harness (src/ct)
+// enforce the discipline.
 #pragma once
 
 #include <array>

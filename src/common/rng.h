@@ -46,7 +46,7 @@ class Rng {
 };
 
 /// Deterministic ChaCha20-based DRBG.
-// ct:key-holder — the seed key determines every future output.
+// The seed key determines every future output.
 class ChaChaRng final : public Rng {
  public:
   /// Seeds from a 32-byte key. A fixed seed yields a fixed stream.
@@ -72,10 +72,10 @@ class ChaChaRng final : public Rng {
  private:
   void refill();
 
-  Secret<std::array<std::uint8_t, 32>> key_;  // ct:secret
+  Secret<std::array<std::uint8_t, 32>> key_;
   std::array<std::uint8_t, 12> nonce_{};
   std::uint32_t counter_ = 0;
-  Secret<std::array<std::uint8_t, 64>> buffer_;  // ct:secret
+  Secret<std::array<std::uint8_t, 64>> buffer_;
   std::size_t avail_ = 0;
 };
 

@@ -1,7 +1,8 @@
 // Taint types for secret material. `cbl::Secret<T>` is a strong wrapper
-// around scalars, keys, and openings annotated `// ct:secret`: the value
-// cannot convert back to T implicitly, so a secret reaching a public sink
-// is a compile error unless the caller writes one of two explicit exits:
+// around scalars, keys, and openings, and the only way the tree marks a
+// value as secret: the value cannot convert back to T implicitly, so a
+// secret reaching a public sink is a compile error unless the caller
+// writes one of two explicit exits:
 //
 //  * `expose_secret()` — a taint-PRESERVING borrow. The value is still
 //    secret; the borrow exists so constant-time backends (ct_equal,
@@ -13,17 +14,14 @@
 //    the lint requires the reason to match a row of the DESIGN.md
 //    declassification registry.
 //
-// The wrapper also wipes on destruction and on move-from, which keeps
-// ct_lint.py's R5 (key-holder destructors must wipe) satisfied by
-// construction for every swept holder.
+// The wrapper also wipes on destruction and on move-from, so every holder
+// of a Secret<T> member zeroizes its key material by construction.
 //
 // CBL_VARTIME marks functions that are variable-time by design (Straus /
-// Pippenger verification paths, rejection sampling). Under clang it is a
-// real AST annotation the libclang front-end of secret_flow_lint.py can
-// see; elsewhere it degrades to a token the regex fallback matches. A
-// CBL_VARTIME function must carry a `// vartime: public-inputs-only`
-// justification (rule S4) and must never receive tainted arguments
-// (rule S1).
+// Pippenger verification paths, rejection sampling). It expands to
+// nothing; secret_flow_lint.py matches the token. A CBL_VARTIME function
+// must carry a `// vartime: public-inputs-only` justification (rule S4)
+// and must never receive tainted arguments (rule S1).
 #pragma once
 
 #include <cstddef>
@@ -33,11 +31,7 @@
 #include "common/ct.h"
 #include "ct/ct.h"
 
-#if defined(__clang__)
-#define CBL_VARTIME __attribute__((annotate("cbl::vartime")))
-#else
 #define CBL_VARTIME
-#endif
 
 namespace cbl {
 

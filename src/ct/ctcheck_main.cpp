@@ -14,9 +14,9 @@
 //         ctcheck --list       lists check names
 //
 // Secret-indexed loads without branches are invisible to PC tracing; they
-// are covered by scripts/ct_lint.py and, when available, by running this
-// same binary under `valgrind --error-exitcode=1` (the poison marks map to
-// memcheck "undefined" ranges, ctgrind style).
+// are covered by scripts/secret_flow_lint.py (rule R4) and, when available,
+// by running this same binary under `valgrind --error-exitcode=1` (the
+// poison marks map to memcheck "undefined" ranges, ctgrind style).
 
 #include <cstdio>
 #include <cstring>
@@ -248,7 +248,7 @@ __attribute__((noinline)) bool leaky_compare(const std::uint8_t* a,
                                              const std::uint8_t* b,
                                              std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) {
-    if (a[i] != b[i]) return false;  // ct:ok — deliberate leak (self-test)
+    if (a[i] != b[i]) return false;  // deliberate leak (self-test)
   }
   return true;
 }

@@ -15,7 +15,8 @@
 // trace hashes differ, some branch depended on the secret. Data-dependent
 // *addresses* without branches (secret-indexed table loads) are not
 // visible to PC tracing; those are covered statically by
-// scripts/ct_lint.py and dynamically by the valgrind/MSan backends.
+// scripts/secret_flow_lint.py (rule R4) and dynamically by the
+// valgrind/MSan backends.
 #pragma once
 
 #include <cstdint>

@@ -145,7 +145,7 @@ Fe25519 Fe25519::pow(const std::array<std::uint8_t, 32>& e) const noexcept {
   Fe25519 result = one();
   // Left-to-right binary exponentiation over the 255 meaningful bits. All
   // callers pass fixed public exponents (p-2, (p-5)/8, (p-1)/4), so the
-  // per-bit branch is on public data. ct:public
+  // per-bit branch is on public data.
   for (int bit = 254; bit >= 0; --bit) {
     result = result.square();
     if ((e[static_cast<std::size_t>(bit / 8)] >> (bit % 8)) & 1) {
@@ -166,7 +166,7 @@ Fe25519 Fe25519::invert() const noexcept {
 
 void Fe25519::batch_invert(std::span<Fe25519> elems) noexcept {
   const std::size_t n = elems.size();
-  if (n == 0) return;  // ct:public — batch size is protocol-visible
+  if (n == 0) return;  // batch size is protocol-visible
   if (n == 1) {
     elems[0] = elems[0].invert();
     return;

@@ -103,7 +103,7 @@ std::optional<RistrettoPoint> RistrettoPoint::decode(
 
   const bool valid = canonical & nonneg & inv.was_square &
                      !t.is_negative() & !y.is_zero();
-  if (!valid) return std::nullopt;  // ct:public — verdict is protocol state
+  if (!valid) return std::nullopt;  // verdict is protocol state
   return RistrettoPoint(x, y, Fe25519::one(), t);
 }
 
@@ -323,7 +323,7 @@ RistrettoPoint RistrettoPoint::multiscalar_mul(
   // Shared-doubling (interleaved) evaluation: one doubling chain for all
   // terms instead of one per term. Variable-time BY DESIGN: this path
   // only runs on public data (NIZK/DLEQ verification, tally checks);
-  // secret scalars must use operator*. ct:public
+  // secret scalars must use operator*.
   std::vector<std::array<RistrettoPoint, 16>> tables(points.size());
   for (std::size_t k = 0; k < points.size(); ++k) {
     tables[k][0] = identity();

@@ -140,7 +140,7 @@ std::optional<Scalar> Scalar::from_canonical_bytes(
   for (int i = 0; i < 4; ++i) {
     s.limbs_[static_cast<std::size_t>(i)] = load_le64(bytes.data() + 8 * i);
   }
-  // ct:public — the canonicity verdict is part of the wire protocol.
+  // The canonicity verdict is part of the wire protocol.
   if (geq_l_mask(s.limbs_) != 0) return std::nullopt;
   return s;
 }
@@ -241,7 +241,7 @@ void Scalar::wipe() noexcept {
 Scalar Scalar::invert() const noexcept {
   // Fermat: x^(l-2). Exponent bits taken from l with 2 subtracted — the
   // exponent is a public constant, so the per-bit branch below leaks
-  // nothing about the base. ct:public
+  // nothing about the base.
   std::array<u64, 4> e = kL;
   e[0] -= 2;  // l is odd with low limb ...ed, no borrow
   Scalar result = one();

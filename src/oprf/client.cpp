@@ -58,7 +58,7 @@ std::vector<OprfClient::Prepared> OprfClient::blind_batch(
     p.pending.blinding = Secret(ec::Scalar::random(rng_));
     p.pending.hashed = oracle_.map_to_group(raw);
     p.pending.prefix = Oracle::prefix(raw, lambda_);
-    const Secret half_blinding = p.pending.blinding * inv_two;  // ct:secret
+    const Secret half_blinding = p.pending.blinding * inv_two;
     halves[i] = p.pending.hashed * half_blinding;
   }
   const auto encodings = ec::RistrettoPoint::double_and_encode_batch(halves);

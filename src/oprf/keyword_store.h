@@ -24,7 +24,7 @@
 
 namespace cbl::oprf {
 
-// ct:key-holder — the mask R is the store's long-lived secret.
+// The mask R is the store's long-lived secret.
 class KeywordStore {
  public:
   KeywordStore(Oracle oracle, unsigned lambda, Rng& rng);
@@ -60,9 +60,8 @@ class KeywordStore {
   std::optional<Bytes> client_lookup(std::string_view keyword, Rng& rng) const;
 
   // Client primitives (exposed so the round trip can cross a transport).
-  // ct:key-holder
   struct Pending {
-    Secret<ec::Scalar> blinding;  // ct:secret
+    Secret<ec::Scalar> blinding;
     std::uint32_t prefix = 0;
 
     Pending() = default;
@@ -83,7 +82,7 @@ class KeywordStore {
   Oracle oracle_;
   unsigned lambda_;
   Rng& rng_;
-  Secret<ec::Scalar> mask_;  // R  ct:secret
+  Secret<ec::Scalar> mask_;  // R
   std::map<std::uint32_t, std::vector<TaggedRecord>> buckets_;
   std::size_t record_count_ = 0;
 };

@@ -58,9 +58,9 @@ struct QueryResponse {
 };
 
 /// Client-side state kept between prepare() and finish().
-// ct:key-holder — the blinding factor is what keeps the query private.
+// The blinding factor is what keeps the query private.
 struct PendingQuery {
-  Secret<ec::Scalar> blinding;  // r  ct:secret
+  Secret<ec::Scalar> blinding;  // r
   ec::RistrettoPoint hashed;    // H(u)
   std::uint32_t prefix = 0;
   bool used_cache_hint = false;

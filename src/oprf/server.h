@@ -38,7 +38,7 @@ using MetadataProvider = std::function<Bytes(const std::string& entry)>;
 // remove_entries / set_metadata_provider) take the write lock and may
 // run concurrently with queries but not with each other.
 
-// ct:key-holder — the mask R is the service's long-lived secret.
+// The mask R is the service's long-lived secret.
 class OprfServer {
  public:
   OprfServer(Oracle oracle, unsigned lambda, Rng& rng);
@@ -208,10 +208,10 @@ class OprfServer {
   const unsigned lambda_;
 
   mutable cbl::SharedMutex data_mutex_;  // lock: buckets / mask / epoch
-  // ct:secret — the mask R. half_mask_ is R * 2^-1 mod l, refreshed with
-  // mask_: the batched encode kernel produces encodings of 2*P, so hot
-  // paths exponentiate by R/2 and let double_and_encode_batch supply the
-  // doubling. ct:secret
+  // The mask R. half_mask_ is R * 2^-1 mod l, refreshed with mask_: the
+  // batched encode kernel produces encodings of 2*P, so hot paths
+  // exponentiate by R/2 and let double_and_encode_batch supply the
+  // doubling.
   Secret<ec::Scalar> mask_ CBL_GUARDED_BY(data_mutex_);
   Secret<ec::Scalar> half_mask_ CBL_GUARDED_BY(data_mutex_);
   ec::RistrettoPoint key_commitment_ CBL_GUARDED_BY(data_mutex_);  // g^R

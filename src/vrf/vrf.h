@@ -18,9 +18,9 @@
 
 namespace cbl::vrf {
 
-// ct:key-holder — sk is the candidate's long-lived sortition secret.
+// sk is the candidate's long-lived sortition secret.
 struct KeyPair {
-  Secret<ec::Scalar> sk;  // ct:secret
+  Secret<ec::Scalar> sk;
   ec::RistrettoPoint pk;
 
   static KeyPair generate(Rng& rng);

@@ -129,7 +129,7 @@ TEST(CtTiming, CtEqualShowsNoClassDistinction) {
   // class B, so |t| should dwarf the ct_equal statistic.
   const Welch leaky = measure([](const std::uint8_t* a, const std::uint8_t* b,
                                  std::size_t n) {
-    return std::memcmp(a, b, n) == 0;  // ct:ok — deliberate leak (control)
+    return std::memcmp(a, b, n) == 0;  // deliberate leak (control)
   });
   std::printf("ct_equal |t| = %.2f over %zu samples; memcmp control |t| = %.2f\n",
               std::fabs(ct.t), ct.n, std::fabs(leaky.t));
