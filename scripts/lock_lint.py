@@ -163,7 +163,7 @@ def scan_file(path: Path, rel: Path, findings: list[Finding],
                 held = guards[-1][0]
                 if held != mutex_expr:
                     nested_pairs.append((held, mutex_expr, path, lineno))
-            guards.append((mutex_expr, m.group(2), lineno))
+            guards.append((mutex_expr, m.group(2), depth))
         for m in re.finditer(r"\b([A-Za-z_]\w*)\.unlock\s*\(", code):
             guards = [g for g in guards if g[1] != m.group(1)]
         # (guard.lock() re-acquisition keeps its original stack slot:
@@ -339,6 +339,8 @@ class Bad {
 };
 inline void nest(cbl::Mutex& a, cbl::Mutex& b) {
   MutexLock la(a_mu);
+  if (ready) {
+  }
   MutexLock lb(b_mu);
 }
 }  // namespace cbl::demo
@@ -368,6 +370,12 @@ inline void ordered(cbl::Mutex& outer_mu, cbl::Mutex& inner_mu) {
 inline void sequential(cbl::Mutex& first_mu, cbl::Mutex& second_mu) {
   MutexLock lf(first_mu);
   lf.unlock();
+  MutexLock ls(second_mu);
+}
+inline void scoped(cbl::Mutex& first_mu, cbl::Mutex& second_mu) {
+  {
+    MutexLock lf(first_mu);
+  }
   MutexLock ls(second_mu);
 }
 }  // namespace cbl::demo

@@ -448,6 +448,7 @@ RemoteBlocklistClient::RemoteBlocklistClient(Channel& channel,
     throw ProtocolError("RemoteBlocklistClient: malformed service info");
   }
   info_ = *info;
+  seen_epoch_ = info_.epoch;
 
   // Mirror the service's oracle locally (lambda/oracle sync).
   oprf::Oracle oracle = oprf::Oracle::fast();
@@ -501,6 +502,7 @@ RemoteBlocklistClient::SyncReport RemoteBlocklistClient::verified_sync(
     report.failure = failure;
     report.ok = failure == SyncReport::Failure::kNone;
     report.epoch = auditor.has_state() ? auditor.mirror_epoch() : 0;
+    if (report.ok) seen_epoch_ = std::max(seen_epoch_, report.epoch);
     switch (failure) {
       case SyncReport::Failure::kNone: sync_ok_->inc(); break;
       case SyncReport::Failure::kTransport: sync_transport_->inc(); break;
@@ -622,6 +624,7 @@ bool RemoteBlocklistClient::sync_prefix_list() {
   const auto prefixes = oprf::parse_prefix_list(response->body);
   if (!prefixes) return false;
   client_->set_prefix_list(*prefixes);
+  prefix_list_epoch_ = seen_epoch_;
   return true;
 }
 
@@ -648,7 +651,11 @@ RemoteBlocklistClient::QueryOutcome RemoteBlocklistClient::query(
 RemoteBlocklistClient::QueryOutcome RemoteBlocklistClient::query_uncounted(
     std::string_view address) {
   QueryOutcome outcome;
-  if (client_->has_prefix_list() && !client_->may_be_listed(address)) {
+  if (client_->has_prefix_list() && prefix_list_epoch_ < seen_epoch_) {
+    (void)sync_prefix_list();
+  }
+  if (client_->has_prefix_list() && prefix_list_epoch_ == seen_epoch_ &&
+      !client_->may_be_listed(address)) {
     outcome.kind = QueryOutcome::Kind::kOk;
     outcome.resolved_locally = true;
     return outcome;
@@ -695,6 +702,7 @@ RemoteBlocklistClient::QueryOutcome RemoteBlocklistClient::query_uncounted(
   try {
     outcome.listed = client_->finish(prepared.pending, *response).listed;
     outcome.kind = QueryOutcome::Kind::kOk;
+    seen_epoch_ = std::max(seen_epoch_, response->epoch);
   } catch (const ProtocolError&) {
     outcome.kind = QueryOutcome::Kind::kMalformed;
   }

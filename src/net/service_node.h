@@ -226,7 +226,11 @@ class RemoteBlocklistClient {
   QueryOutcome query(std::string_view address);
 
   /// Downloads and installs the prefix list (enables the local fast
-  /// path). Returns false if the transfer failed after retries.
+  /// path). Returns false if the transfer failed after retries. Once a
+  /// query response or a verified sync reports an epoch newer than the
+  /// installed list, the next query refetches the list before it
+  /// answers anything locally: the new epoch may have filled a prefix
+  /// the list still calls empty.
   bool sync_prefix_list();
 
   /// Outcome of one verified_sync pass, with the failure classified for
@@ -283,6 +287,10 @@ class RemoteBlocklistClient {
   RemoteClientConfig config_;
   ServiceInfo info_;
   std::optional<oprf::OprfClient> client_;
+  // Highest epoch the service has reported, and its value when the
+  // installed prefix list was fetched.
+  std::uint64_t seen_epoch_ = 0;
+  std::uint64_t prefix_list_epoch_ = 0;
   // Query outcomes by kind (cbl_net_client_outcomes_total), so
   // dashboards can tell rate-limited from unreachable from malformed.
   obs::Counter* outcomes_ok_;

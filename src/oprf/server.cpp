@@ -1,7 +1,9 @@
 #include "oprf/server.h"
 
 #include <algorithm>
+#include <string_view>
 #include <thread>
+#include <unordered_set>
 
 #include "exec/worker_pool.h"
 #include "hash/sha256.h"
@@ -16,6 +18,18 @@ const ec::Scalar& inv_two() {
   static const ec::Scalar v = ec::Scalar::from_u64(2).invert();
   return v;
 }
+
+/// Observes its own lifetime, in ms. Declared right after a
+/// WriterMutexLock, it is destroyed first and so times the hold, not
+/// the wait to acquire.
+struct WriteLockTimer {
+  obs::Histogram& histogram;
+  std::uint64_t t0 = obs::MetricsRegistry::global().clock().now_ns();
+  ~WriteLockTimer() {
+    const auto& clock = obs::MetricsRegistry::global().clock();
+    histogram.observe(static_cast<double>(clock.now_ns() - t0) / 1e6);
+  }
+};
 
 }  // namespace
 
@@ -46,7 +60,18 @@ OprfServer::OprfServer(Oracle oracle, unsigned lambda, Rng& rng)
       "Server-side oblivious evaluation time per query");
   metrics_.rebuild_ms = &reg.histogram(
       "cbl_oprf_rebuild_ms", obs::Histogram::default_latency_ms_buckets(), {},
-      "Blind-everything preprocessing duration");
+      "Build phase of setup and key rotation (new mask, blinding, metadata "
+      "sealing, bucket sort), run outside the exclusive data lock");
+  const auto write_lock_histogram = [&](const char* op) {
+    return &reg.histogram(
+        "cbl_oprf_write_lock_ms", obs::Histogram::default_latency_ms_buckets(),
+        {{"op", op}},
+        "Exclusive data-lock hold time per table-changing maintenance op");
+  };
+  metrics_.write_lock_setup_ms = write_lock_histogram("setup");
+  metrics_.write_lock_rotate_ms = write_lock_histogram("rotate");
+  metrics_.write_lock_add_ms = write_lock_histogram("add");
+  metrics_.write_lock_remove_ms = write_lock_histogram("remove");
   metrics_.bucket_size = &reg.histogram(
       "cbl_oprf_bucket_size", obs::Histogram::log_buckets(1.0, 1e6, 3), {},
       "Non-empty bucket sizes at each rebuild (the k of k-anonymity)");
@@ -65,7 +90,8 @@ OprfServer::~OprfServer() {
 }
 
 void OprfServer::refresh_data_gauges() {
-  metrics_.entries->set(static_cast<double>(entries_.size()));
+  ReaderMutexLock lock(data_mutex_);
+  metrics_.entries->set(static_cast<double>(entry_index_.size()));
   metrics_.epoch->set(static_cast<double>(epoch_));
   metrics_.buckets_nonempty->set(static_cast<double>(buckets_.size()));
   std::size_t min_size = 0;
@@ -78,23 +104,31 @@ void OprfServer::refresh_data_gauges() {
 
 void OprfServer::setup(std::span<const std::string> entries,
                        unsigned num_threads) {
-  WriterMutexLock lock(data_mutex_);
-  entries_.assign(entries.begin(), entries.end());
-  rebuild(num_threads);
+  MutexLock update(update_mutex_);
+  // A duplicate would sit in its bucket as a second element that
+  // remove_entries never reaches, and would inflate the bucket's k.
+  entries_.clear();
+  std::unordered_set<std::string_view> seen;
+  for (const auto& entry : entries) {
+    if (seen.insert(entry).second) entries_.push_back(entry);
+  }
+  preprocess(/*reindex=*/true, num_threads, *metrics_.write_lock_setup_ms);
 }
 
 void OprfServer::rotate_key(unsigned num_threads) {
-  WriterMutexLock lock(data_mutex_);
-  rebuild(num_threads);
+  MutexLock update(update_mutex_);
+  // The entry -> prefix index does not depend on the mask.
+  preprocess(/*reindex=*/false, num_threads, *metrics_.write_lock_rotate_ms);
 }
 
 void OprfServer::restore_epoch(std::uint64_t floor) {
-  WriterMutexLock lock(data_mutex_);
-  if (epoch_ < floor) {
+  {
+    WriterMutexLock lock(data_mutex_);
+    if (epoch_ >= floor) return;
     epoch_ = floor;
     note_epoch_locked();
-    refresh_data_gauges();
   }
+  refresh_data_gauges();
 }
 
 void OprfServer::set_epoch_listener(
@@ -109,38 +143,14 @@ void OprfServer::note_epoch_locked() {
   if (epoch_listener_) epoch_listener_(epoch_);
 }
 
-void OprfServer::rebuild(unsigned num_threads) {
-  const auto& clock = obs::MetricsRegistry::global().clock();
-  const std::uint64_t t0 = clock.now_ns();
-  {
-    // rng_mutex_ nested inside the held data_mutex_ (documented order:
-    // data_mutex_ -> rng_mutex_) so the sampling cannot interleave with a
-    // concurrent evaluation-proof draw.
-    MutexLock rng_lock(rng_mutex_);
-    mask_ = Secret(ec::Scalar::random(rng_));
-  }
-  half_mask_ = mask_ * inv_two();
-  key_commitment_ = ec::RistrettoPoint::base() * mask_;
-  ++epoch_;
-  note_epoch_locked();
-  buckets_.clear();
-
-  // Blind all entries: b = H(q)^R, computed as H(q)^(R/2) batch-doubled so
-  // each chunk pays one field inversion instead of one per entry. The
-  // exponentiations dominate, so chunks are sharded over worker threads
-  // (exec::parallel_for_chunks slices by index only — the per-entry bytes
-  // are identical for every thread count); bucket insertion stays
-  // sequential.
-  std::vector<ec::RistrettoPoint::Encoding> blinded(entries_.size());
-  std::vector<std::uint32_t> prefixes(entries_.size());
-
-  // The worker lambda runs on threads that do not themselves hold
-  // data_mutex_ — the exclusive lock held by THIS caller for the whole
-  // parallel region is what makes the shared reads safe. The analysis
-  // cannot see across that hand-off, so the guarded state the workers
-  // need is bound to locals here, under the lock.
-  const std::vector<std::string>& entries = entries_;
-  const Secret<ec::Scalar> half_mask = half_mask_;
+std::vector<OprfServer::Blinded> OprfServer::blind(
+    std::span<const std::string> entries, const Secret<ec::Scalar>& half_mask,
+    const MetadataProvider& provider, unsigned num_threads) const {
+  // b = H(q)^R, computed as H(q)^(R/2) batch-doubled so each chunk pays
+  // one field inversion instead of one per entry. The exponentiations
+  // dominate, so chunks are sharded over worker threads
+  // (exec::parallel_for_chunks slices by index only).
+  std::vector<Blinded> out(entries.size());
   auto work = [&](std::size_t begin, std::size_t end) {
     std::vector<Bytes> raw(end - begin);
     for (std::size_t i = begin; i < end; ++i) {
@@ -154,26 +164,49 @@ void OprfServer::rebuild(unsigned num_threads) {
     const auto encodings =
         ec::RistrettoPoint::double_and_encode_batch(halves);
     for (std::size_t j = 0; j < encodings.size(); ++j) {
-      blinded[begin + j] = encodings[j];
-      prefixes[begin + j] = Oracle::prefix(raw[j], lambda_);
+      out[begin + j].value = encodings[j];
+      out[begin + j].prefix = Oracle::prefix(raw[j], lambda_);
     }
   };
-  exec::parallel_for_chunks(nullptr, entries_.size(), num_threads, work);
+  exec::parallel_for_chunks(nullptr, entries.size(), num_threads, work);
+  // The provider is caller code with no thread-safety promise: seal on
+  // this thread only.
+  if (provider) {
+    for (std::size_t i = 0; i < out.size(); ++i) {
+      out[i].metadata =
+          seal_metadata(metadata_key(out[i].value), provider(entries[i]));
+    }
+  }
+  return out;
+}
 
-  entry_index_.clear();
-  for (std::size_t i = 0; i < entries_.size(); ++i) {
-    entry_index_[entries_[i]] = prefixes[i];
-    Bucket& bucket = buckets_[prefixes[i]];
-    bucket.blinded.push_back(blinded[i]);
+void OprfServer::preprocess(bool reindex, unsigned num_threads,
+                            obs::Histogram& write_lock_ms) {
+  const auto& clock = obs::MetricsRegistry::global().clock();
+  const std::uint64_t t0 = clock.now_ns();
+  Secret<ec::Scalar> mask;
+  {
+    // The evaluation proofs draw from the same DRBG.
+    MutexLock rng_lock(rng_mutex_);
+    mask = Secret(ec::Scalar::random(rng_));
+  }
+  Secret<ec::Scalar> half_mask = mask * inv_two();
+  const ec::RistrettoPoint commitment = ec::RistrettoPoint::base() * mask;
+
+  auto blinded = blind(entries_, half_mask, metadata_provider_, num_threads);
+  Buckets buckets;
+  EntryIndex index;
+  for (std::size_t i = 0; i < blinded.size(); ++i) {
+    if (reindex) index.emplace(entries_[i], blinded[i].prefix);
+    Bucket& bucket = buckets[blinded[i].prefix];
+    bucket.blinded.push_back(blinded[i].value);
     if (metadata_provider_) {
-      bucket.metadata.push_back(
-          seal_metadata(metadata_key(blinded[i]),
-                        metadata_provider_(entries_[i])));
+      bucket.metadata.push_back(std::move(blinded[i].metadata));
     }
   }
   // Sort each bucket (with metadata riding along) for binary search and
   // for a canonical wire representation.
-  for (auto& [prefix, bucket] : buckets_) {
+  for (auto& [prefix, bucket] : buckets) {
     std::vector<std::size_t> order(bucket.blinded.size());
     for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
     std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
@@ -183,18 +216,33 @@ void OprfServer::rebuild(unsigned num_threads) {
     sorted.blinded.reserve(order.size());
     for (const std::size_t i : order) {
       sorted.blinded.push_back(bucket.blinded[i]);
-      if (!bucket.metadata.empty()) sorted.metadata.push_back(bucket.metadata[i]);
+      if (!bucket.metadata.empty()) {
+        sorted.metadata.push_back(std::move(bucket.metadata[i]));
+      }
     }
     bucket = std::move(sorted);
   }
-
   metrics_.rebuilds->inc();
   metrics_.rebuild_ms->observe(
       static_cast<double>(clock.now_ns() - t0) / 1e6);
-  for (const auto& [prefix, bucket] : buckets_) {
+  for (const auto& [prefix, bucket] : buckets) {
     metrics_.bucket_size->observe(
         static_cast<double>(bucket.blinded.size()));
   }
+
+  {
+    WriterMutexLock lock(data_mutex_);
+    const WriteLockTimer timer{write_lock_ms};
+    mask_ = std::move(mask);
+    half_mask_ = std::move(half_mask);
+    key_commitment_ = commitment;
+    buckets_.swap(buckets);
+    if (reindex) entry_index_.swap(index);
+    ++epoch_;
+    note_epoch_locked();
+  }
+  // `buckets` and `index` now hold the previous epoch's tables; they
+  // are freed on return, outside the lock.
   refresh_data_gauges();
 }
 
@@ -358,69 +406,89 @@ std::vector<OprfServer::BatchOutcome> OprfServer::evaluate_batch(
   return out;
 }
 
-void OprfServer::insert_into_bucket(const std::string& entry) {
-  const Bytes raw = to_bytes(entry);
-  const auto blinded = (oracle_.map_to_group(raw) * mask_).encode();
-  const std::uint32_t prefix = Oracle::prefix(raw, lambda_);
-  Bucket& bucket = buckets_[prefix];
-  const auto it =
-      std::lower_bound(bucket.blinded.begin(), bucket.blinded.end(), blinded);
-  const auto offset = it - bucket.blinded.begin();
-  bucket.blinded.insert(it, blinded);
-  if (metadata_provider_) {
-    bucket.metadata.insert(bucket.metadata.begin() + offset,
-                           seal_metadata(metadata_key(blinded),
-                                         metadata_provider_(entry)));
+OprfServer::Picked OprfServer::pick_and_blind(
+    std::span<const std::string> entries, bool served,
+    const MetadataProvider& provider) const {
+  Picked out;
+  Secret<ec::Scalar> half_mask;
+  {
+    ReaderMutexLock lock(data_mutex_);
+    half_mask = half_mask_;
+    std::unordered_set<std::string_view> seen;
+    for (const auto& entry : entries) {
+      if (entry_index_.contains(entry) == served && seen.insert(entry).second) {
+        out.entries.push_back(entry);
+      }
+    }
   }
-  entry_index_[entry] = prefix;
+  out.blinded = blind(out.entries, half_mask, provider, 1);
+  return out;
 }
 
 std::size_t OprfServer::add_entries(std::span<const std::string> entries) {
-  WriterMutexLock lock(data_mutex_);
-  std::size_t added = 0;
-  for (const auto& entry : entries) {
-    if (entry_index_.contains(entry)) continue;
-    insert_into_bucket(entry);
-    entries_.push_back(entry);
-    ++added;
-  }
-  if (added > 0) {
+  MutexLock update(update_mutex_);
+  auto [fresh, blinded] =
+      pick_and_blind(entries, /*served=*/false, metadata_provider_);
+  if (fresh.empty()) return 0;
+  {
+    WriterMutexLock lock(data_mutex_);
+    const WriteLockTimer timer{*metrics_.write_lock_add_ms};
+    for (std::size_t i = 0; i < fresh.size(); ++i) {
+      Bucket& bucket = buckets_[blinded[i].prefix];
+      const auto it = std::lower_bound(bucket.blinded.begin(),
+                                       bucket.blinded.end(), blinded[i].value);
+      if (metadata_provider_) {
+        bucket.metadata.insert(
+            bucket.metadata.begin() + (it - bucket.blinded.begin()),
+            std::move(blinded[i].metadata));
+      }
+      bucket.blinded.insert(it, blinded[i].value);
+      entry_index_.emplace(fresh[i], blinded[i].prefix);
+    }
     ++epoch_;
     note_epoch_locked();
-    refresh_data_gauges();
   }
-  return added;
+  entries_.insert(entries_.end(), fresh.begin(), fresh.end());
+  refresh_data_gauges();
+  return fresh.size();
 }
 
 std::size_t OprfServer::remove_entries(std::span<const std::string> entries) {
-  WriterMutexLock lock(data_mutex_);
+  MutexLock update(update_mutex_);
+  // The recomputed blinded values locate the entries in their buckets.
+  const auto [present, blinded] =
+      pick_and_blind(entries, /*served=*/true, nullptr);
+  if (present.empty()) return 0;
   std::size_t removed = 0;
-  for (const auto& entry : entries) {
-    const auto idx = entry_index_.find(entry);
-    if (idx == entry_index_.end()) continue;
-    // Recompute the blinded value to locate it inside the sorted bucket.
-    const auto blinded =
-        (oracle_.map_to_group(to_bytes(entry)) * mask_).encode();
-    Bucket& bucket = buckets_[idx->second];
-    const auto it = std::lower_bound(bucket.blinded.begin(),
-                                     bucket.blinded.end(), blinded);
-    if (it != bucket.blinded.end() && *it == blinded) {
-      const auto offset = it - bucket.blinded.begin();
-      bucket.blinded.erase(it);
+  {
+    WriterMutexLock lock(data_mutex_);
+    const WriteLockTimer timer{*metrics_.write_lock_remove_ms};
+    for (std::size_t i = 0; i < present.size(); ++i) {
+      entry_index_.erase(present[i]);
+      const auto found = buckets_.find(blinded[i].prefix);
+      if (found == buckets_.end()) continue;
+      Bucket& bucket = found->second;
+      const auto it = std::lower_bound(bucket.blinded.begin(),
+                                       bucket.blinded.end(), blinded[i].value);
+      if (it == bucket.blinded.end() || *it != blinded[i].value) continue;
       if (!bucket.metadata.empty()) {
-        bucket.metadata.erase(bucket.metadata.begin() + offset);
+        bucket.metadata.erase(bucket.metadata.begin() +
+                              (it - bucket.blinded.begin()));
       }
-      if (bucket.blinded.empty()) buckets_.erase(idx->second);
+      bucket.blinded.erase(it);
+      if (bucket.blinded.empty()) buckets_.erase(found);
       ++removed;
     }
-    entry_index_.erase(idx);
-    std::erase(entries_, entry);
+    if (removed > 0) {
+      ++epoch_;
+      note_epoch_locked();
+    }
   }
-  if (removed > 0) {
-    ++epoch_;
-    note_epoch_locked();
-    refresh_data_gauges();
-  }
+  const std::unordered_set<std::string_view> gone(present.begin(),
+                                                   present.end());
+  std::erase_if(entries_,
+                [&](const std::string& entry) { return gone.contains(entry); });
+  if (removed > 0) refresh_data_gauges();
   return removed;
 }
 
@@ -500,7 +568,7 @@ void OprfServer::advance_window() {
 }
 
 void OprfServer::set_metadata_provider(MetadataProvider provider) {
-  WriterMutexLock lock(data_mutex_);
+  MutexLock update(update_mutex_);
   metadata_provider_ = std::move(provider);
 }
 

@@ -34,9 +34,13 @@ using MetadataProvider = std::function<Bytes(const std::string& entry)>;
 
 // Thread safety: handle() and the read accessors may run concurrently
 // from many threads (the "considerable amount of users simultaneously"
-// goal); maintenance operations (setup / rotate_key / add_entries /
-// remove_entries / set_metadata_provider) take the write lock and may
-// run concurrently with queries but not with each other.
+// goal). Maintenance operations (setup / rotate_key / add_entries /
+// remove_entries / set_metadata_provider) queue on update_mutex_, so they
+// never overlap each other. Each one builds its new tables (hash-to-group,
+// exponentiation, encoding, metadata sealing, bucket sort) with no
+// exclusive lock held, then takes data_mutex_ exclusively only to move
+// them in and bump the epoch: queries keep being answered from the
+// previous epoch while a rotation builds.
 
 // The mask R is the service's long-lived secret.
 class OprfServer {
@@ -47,13 +51,15 @@ class OprfServer {
   /// Data preprocessing (stage 1 of Fig. 2): samples a fresh mask R,
   /// blinds every entry and partitions into buckets. `num_threads` > 1
   /// parallelizes the exponentiations as in the paper's 8-core setup.
+  /// Duplicate entries collapse to their first occurrence.
   void setup(std::span<const std::string> entries, unsigned num_threads = 1)
-      CBL_EXCLUDES(data_mutex_);
+      CBL_EXCLUDES(update_mutex_, data_mutex_, rng_mutex_);
 
   /// Key rotation: new R, same data ("S can run this protocol in rotation
   /// whenever there is a demand for adjusting R"). Bumps the epoch, which
   /// invalidates client caches.
-  void rotate_key(unsigned num_threads = 1) CBL_EXCLUDES(data_mutex_);
+  void rotate_key(unsigned num_threads = 1)
+      CBL_EXCLUDES(update_mutex_, data_mutex_, rng_mutex_);
 
   /// Incremental maintenance under the CURRENT mask R: blinds only the
   /// new entries (one exponentiation each) instead of re-running setup.
@@ -61,9 +67,9 @@ class OprfServer {
   /// caches must refresh). Returns how many entries were actually
   /// added/removed (duplicates and absentees are skipped).
   std::size_t add_entries(std::span<const std::string> entries)
-      CBL_EXCLUDES(data_mutex_);
+      CBL_EXCLUDES(update_mutex_, data_mutex_);
   std::size_t remove_entries(std::span<const std::string> entries)
-      CBL_EXCLUDES(data_mutex_);
+      CBL_EXCLUDES(update_mutex_, data_mutex_);
   bool serves(const std::string& entry) const CBL_EXCLUDES(data_mutex_) {
     cbl::ReaderMutexLock lock(data_mutex_);
     return entry_index_.contains(entry);
@@ -98,7 +104,7 @@ class OprfServer {
   /// The published key commitment g^R for the current epoch (the
   /// verifiable-OPRF anchor clients verify evaluation proofs against).
   /// Returned by value: a reference could be read mid-rotation while
-  /// rebuild() swaps in the next epoch's commitment.
+  /// the install swaps in the next epoch's commitment.
   ec::RistrettoPoint key_commitment() const CBL_EXCLUDES(data_mutex_) {
     cbl::ReaderMutexLock lock(data_mutex_);
     return key_commitment_;
@@ -143,7 +149,7 @@ class OprfServer {
   unsigned lambda() const { return lambda_; }
   std::size_t entry_count() const CBL_EXCLUDES(data_mutex_) {
     cbl::ReaderMutexLock lock(data_mutex_);
-    return entries_.size();
+    return entry_index_.size();
   }
 
   struct BucketStats {
@@ -174,7 +180,7 @@ class OprfServer {
 
   // --- Metadata extension -------------------------------------------------
   void set_metadata_provider(MetadataProvider provider)
-      CBL_EXCLUDES(data_mutex_);
+      CBL_EXCLUDES(update_mutex_);
 
   /// Derives the symmetric key protecting entry metadata from the OPRF
   /// output F(R, entry) = H(entry)^R. Exposed so the client can derive
@@ -193,19 +199,55 @@ class OprfServer {
     std::vector<ec::RistrettoPoint::Encoding> blinded;  // sorted
     std::vector<Bytes> metadata;                        // aligned with blinded
   };
+  using Buckets = std::map<std::uint32_t, Bucket>;
+  using EntryIndex = std::unordered_map<std::string, std::uint32_t>;
 
-  /// Full preprocessing pass under a fresh mask. Takes rng_mutex_ for
-  /// the mask sampling (nested inside the already-held exclusive data
-  /// lock — see the DESIGN.md lock-ordering table).
-  void rebuild(unsigned num_threads) CBL_REQUIRES(data_mutex_)
-      CBL_EXCLUDES(rng_mutex_);
-  void insert_into_bucket(const std::string& entry)
-      CBL_REQUIRES(data_mutex_);
+  /// One entry under some mask R: its bucket, its blinded value H(q)^R
+  /// and, when a metadata provider is set, its sealed metadata.
+  struct Blinded {
+    std::uint32_t prefix = 0;
+    ec::RistrettoPoint::Encoding value{};
+    Bytes metadata;
+  };
+
+  /// Blinds `entries` under R = 2 * half_mask, sharding the
+  /// exponentiations over `num_threads` (the bytes do not depend on the
+  /// thread count). Touches no guarded state and takes no lock.
+  std::vector<Blinded> blind(std::span<const std::string> entries,
+                             const Secret<ec::Scalar>& half_mask,
+                             const MetadataProvider& provider,
+                             unsigned num_threads) const;
+  /// The read and build steps of add_entries / remove_entries: picks
+  /// the distinct `entries` (first occurrence each) that are `served`,
+  /// or not, and copies the half mask, under the shared data lock; then
+  /// blinds the picked entries under the current mask with no lock held.
+  struct Picked {
+    std::vector<std::string> entries;
+    std::vector<Blinded> blinded;  // aligned with entries
+  };
+  Picked pick_and_blind(std::span<const std::string> entries, bool served,
+                        const MetadataProvider& provider) const
+      CBL_EXCLUDES(data_mutex_);
+  /// Full preprocessing pass over entries_ under a fresh mask, shared by
+  /// setup and rotate_key: builds mask, commitment and sorted buckets
+  /// (plus the entry index when `reindex`) with no data lock held, then
+  /// installs them under one short exclusive section timed into
+  /// `write_lock_ms`.
+  void preprocess(bool reindex, unsigned num_threads,
+                  obs::Histogram& write_lock_ms) CBL_REQUIRES(update_mutex_)
+      CBL_EXCLUDES(data_mutex_, rng_mutex_);
   /// Fires the epoch listener (if any) with the current epoch.
   void note_epoch_locked() CBL_REQUIRES(data_mutex_);
 
   const Oracle oracle_;  // stateless hash-to-group; safe to share
   const unsigned lambda_;
+
+  // Taken first by every maintenance operation and held to its end.
+  cbl::Mutex update_mutex_;  // lock: maintenance writers / entries_ / provider
+  // The raw entry list and the metadata source are read only by
+  // maintenance builds, so the writer mutex alone guards them.
+  std::vector<std::string> entries_ CBL_GUARDED_BY(update_mutex_);
+  MetadataProvider metadata_provider_ CBL_GUARDED_BY(update_mutex_);
 
   mutable cbl::SharedMutex data_mutex_;  // lock: buckets / mask / epoch
   // The mask R. half_mask_ is R * 2^-1 mod l, refreshed with mask_: the
@@ -220,11 +262,8 @@ class OprfServer {
   /// lock is held, so the durable floor can never lag a served epoch.
   std::function<void(std::uint64_t)> epoch_listener_
       CBL_GUARDED_BY(data_mutex_);
-  std::vector<std::string> entries_ CBL_GUARDED_BY(data_mutex_);
-  std::unordered_map<std::string, std::uint32_t> entry_index_
-      CBL_GUARDED_BY(data_mutex_);  // -> prefix
-  std::map<std::uint32_t, Bucket> buckets_ CBL_GUARDED_BY(data_mutex_);
-  MetadataProvider metadata_provider_ CBL_GUARDED_BY(data_mutex_);
+  EntryIndex entry_index_ CBL_GUARDED_BY(data_mutex_);  // -> prefix
+  Buckets buckets_ CBL_GUARDED_BY(data_mutex_);
 
   mutable cbl::Mutex limiter_mutex_;  // lock: rate-limiter config/counters
   // lock:unguarded(atomic on/off switch; the guarded limiter state below
@@ -249,7 +288,12 @@ class OprfServer {
     obs::Counter* buckets_omitted;  // client cache hits server-side
     obs::Counter* rebuilds;
     obs::Histogram* eval_ms;
-    obs::Histogram* rebuild_ms;
+    obs::Histogram* rebuild_ms;  // build phase, no exclusive lock held
+    // Exclusive data_mutex_ hold time, one per table-changing op.
+    obs::Histogram* write_lock_setup_ms;
+    obs::Histogram* write_lock_rotate_ms;
+    obs::Histogram* write_lock_add_ms;
+    obs::Histogram* write_lock_remove_ms;
     obs::Histogram* bucket_size;
     obs::Gauge* entries;
     obs::Gauge* epoch;
@@ -259,7 +303,8 @@ class OprfServer {
   // lock:unguarded(handles resolved once in the constructor; increments
   // are lock-free atomics)
   Metrics metrics_;
-  void refresh_data_gauges() CBL_REQUIRES(data_mutex_);
+  /// Re-reads the table gauges under the shared data lock.
+  void refresh_data_gauges() CBL_EXCLUDES(data_mutex_);
 };
 
 }  // namespace cbl::oprf

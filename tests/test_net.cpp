@@ -3,6 +3,8 @@
 // retries under loss, rate-limit surfacing, and hostile-node behaviour.
 #include <gtest/gtest.h>
 
+#include <set>
+
 #include "blocklist/generator.h"
 #include "common/rng.h"
 #include "net/resilient_client.h"
@@ -653,6 +655,39 @@ TEST_F(NetTest, ResilientClientBreakerOpensAndRecovers) {
   EXPECT_EQ(recovered.freshness, Freshness::kFresh);
   EXPECT_EQ(client.breaker_state("scamdb"),
             CircuitBreaker::State::kClosed);
+}
+
+// The prefix list is refetched once a query response reports an epoch
+// newer than the list: an address added under a prefix that was empty
+// at connect must not be answered "not listed" from the stale list.
+TEST_F(NetTest, ResilientClientRefetchesPrefixListAfterEpochChange) {
+  obs::ManualClock clock;
+  auto transport = make_transport();
+  oprf::OprfServer sparse(oprf::Oracle::fast(), 18, server_rng_);
+  const std::vector<std::string> listed(corpus_.begin(), corpus_.begin() + 30);
+  sparse.setup(listed);
+  BlocklistServiceNode node(transport, "scamdb", sparse, oprf::Oracle::fast());
+
+  ResilienceConfig config;
+  config.hedge_after_ms = 0.0;  // single provider
+  ResilientClient client(transport, {"scamdb"}, client_rng_, config, &clock);
+
+  const auto prefixes = sparse.prefix_list();
+  const std::set<std::uint32_t> at_connect(prefixes.begin(), prefixes.end());
+  auto fresh_rng = ChaChaRng::from_string_seed("net-new-prefix");
+  std::string added;
+  do {
+    added = blocklist::random_address(blocklist::Chain::kBitcoin, fresh_rng);
+  } while (at_connect.contains(oprf::Oracle::prefix(to_bytes(added), 18)));
+  ASSERT_EQ(sparse.add_entries(std::vector<std::string>{added}), 1u);
+
+  const auto online = client.query(listed[0]);
+  ASSERT_EQ(online.verdict, ResilientClient::Outcome::Verdict::kListed);
+  ASSERT_EQ(online.freshness, Freshness::kFresh);
+
+  const auto outcome = client.query(added);
+  EXPECT_EQ(outcome.verdict, ResilientClient::Outcome::Verdict::kListed);
+  EXPECT_EQ(outcome.freshness, Freshness::kFresh);
 }
 
 TEST_F(NetTest, SlowOracleParametersPropagate) {

@@ -308,6 +308,30 @@ TEST(OprfSetup, ParallelMatchesSequential) {
   EXPECT_EQ(r_seq.evaluated, r_par.evaluated);
 }
 
+// Duplicate setup inputs collapse to one entry (the first occurrence).
+// A kept duplicate used to survive remove_entries as a second bucket
+// copy: the entry was no longer served, yet still queried as listed.
+TEST(OprfSetup, DuplicateInputIsRemovedCompletely) {
+  auto server_rng = ChaChaRng::from_string_seed("dup-server");
+  auto client_rng = ChaChaRng::from_string_seed("dup-client");
+  OprfServer server(Oracle::fast(), 3, server_rng);
+  server.setup(std::vector<std::string>{"addr-a", "addr-a", "addr-b"});
+  EXPECT_EQ(server.entry_count(), 2u);
+  std::size_t bucketed = 0;
+  for (const std::size_t n : server.bucket_sizes()) bucketed += n;
+  EXPECT_EQ(bucketed, 2u);
+
+  EXPECT_EQ(server.remove_entries(std::vector<std::string>{"addr-a"}), 1u);
+  EXPECT_FALSE(server.serves("addr-a"));
+  EXPECT_EQ(server.entry_count(), 1u);
+
+  OprfClient client(Oracle::fast(), 3, client_rng);
+  const auto a = client.prepare("addr-a");
+  EXPECT_FALSE(client.finish(a.pending, server.handle(a.request)).listed);
+  const auto b = client.prepare("addr-b");
+  EXPECT_TRUE(client.finish(b.pending, server.handle(b.request)).listed);
+}
+
 TEST(OprfConfig, InvalidLambdaRejected) {
   auto rng = ChaChaRng::from_string_seed("cfg");
   EXPECT_THROW(OprfServer(Oracle::fast(), 0, rng), std::invalid_argument);
