@@ -5,8 +5,7 @@
 // large-response setting (k~977: bandwidth-bound, right panel).
 //
 // Per-online-query CPU cost is measured from the real library; the
-// population-scale concurrency comes from the closed-form capacity model
-// validated by the discrete-event simulator at a downscaled server.
+// population-scale concurrency comes from the closed-form capacity model.
 #include <chrono>
 #include <cstdio>
 #include <string>
@@ -16,7 +15,6 @@
 #include "blocklist/generator.h"
 #include "common/rng.h"
 #include "netsim/capacity.h"
-#include "netsim/desim.h"
 #include "oprf/client.h"
 #include "oprf/server.h"
 
@@ -90,26 +88,6 @@ void run_panel(const char* title, const char* panel_tag,
     summary.add({"fig6/max_concurrent", params, cpu_us * 1e3, response_bytes,
                  est.max_concurrent_clients, "clients"});
   }
-
-  // Discrete-event validation at a 1-core / 10 Mbps downscaled server:
-  // the simulated knee must sit near the model's prediction.
-  netsim::ServerProfile small;
-  small.cpu_cores = 1;
-  small.bandwidth_bits_per_sec = 1e7;
-  netsim::WorkloadProfile w;
-  w.online_fraction = 0.01;
-  w.cpu_us_per_online_query = cpu_us;
-  w.response_bytes = response_bytes;
-  w.request_bytes = 64;
-  netsim::SimConfig sim_cfg;
-  sim_cfg.duration_sec = 10;
-  auto rng = ChaChaRng::from_string_seed("fig6-desim");
-  const auto knee = netsim::find_max_stable_clients(small, w, sim_cfg, rng);
-  const auto est = netsim::estimate_capacity(small, w);
-  std::printf("desim validation @1%% (1 core, 10 Mbps): model %.0f clients, "
-              "simulated knee %llu clients\n",
-              est.max_concurrent_clients,
-              static_cast<unsigned long long>(knee));
 }
 
 }  // namespace

@@ -1,6 +1,7 @@
 // Throughput layer benchmark: batched crypto kernels vs their scalar
 // counterparts, the multi-threaded rebuild sweep, and end-to-end QPS
-// through the coalescing QueryPipeline. Emits BENCH_throughput.json via
+// through the coalescing QueryPipeline next to the node's direct
+// (unbatched) serving path. Emits BENCH_throughput.json via
 // --json <path>; --quick shrinks sizes/reps for the CI perf-smoke stage.
 //
 // Records (unit "x" = speedup of the batched path over the scalar path,
@@ -11,6 +12,8 @@
 //                                        cannot amortize, see DESIGN.md)
 //   rebuild/threads            threads=T entries/sec through setup()
 //   pipeline/qps               threads=T,batch=B  queries/sec via serve()
+//   direct/qps                 threads=T  queries/sec via parse_query_request
+//                                         -> OprfServer::handle -> serialize
 #include <algorithm>
 #include <atomic>
 #include <chrono>
@@ -190,10 +193,37 @@ void bench_rebuild(cbl::benchjson::Summary& summary, bool quick) {
   std::printf("\n");
 }
 
+/// Runs `clients` threads that together serve `total` request bodies
+/// (round-robin over `bodies`) through `serve`, which returns true for
+/// an answered query; returns answered queries per second.
+template <typename Serve>
+double measure_qps(unsigned clients, std::size_t total,
+                   const std::vector<Bytes>& bodies, Serve&& serve) {
+  std::atomic<std::size_t> next{0};
+  std::atomic<std::size_t> ok{0};
+  const auto t0 = Clock::now();
+  {
+    std::vector<std::thread> threads;
+    threads.reserve(clients);
+    for (unsigned c = 0; c < clients; ++c) {
+      threads.emplace_back([&] {
+        for (;;) {
+          const std::size_t i = next.fetch_add(1);
+          if (i >= total) return;
+          if (serve(bodies[i % bodies.size()])) ok.fetch_add(1);
+        }
+      });
+    }
+    for (auto& t : threads) t.join();
+  }
+  return static_cast<double>(ok.load()) / seconds_since(t0);
+}
+
 void bench_pipeline(cbl::benchjson::Summary& summary, bool quick) {
   std::printf(
-      "=== End-to-end QPS through the coalescing QueryPipeline ===\n\n");
-  std::printf("%-10s %-12s %14s\n", "clients", "max_batch", "QPS");
+      "=== End-to-end QPS: coalescing QueryPipeline vs direct serving ===\n\n");
+  std::printf("%-10s %-12s %14s %14s\n", "clients", "max_batch",
+              "pipeline QPS", "direct QPS");
 
   const std::size_t entries_n = quick ? 1'000 : 8'000;
   auto corpus_rng = ChaChaRng::from_string_seed("bench-throughput-qps");
@@ -222,38 +252,31 @@ void bench_pipeline(cbl::benchjson::Summary& summary, bool quick) {
 
   for (const unsigned clients : client_counts) {
     if (clients > 2 * hw) continue;
+    const std::size_t total = per_client * clients;
     net::PipelineOptions options;
     options.shards = 1;  // maximize coalescing for the bench
     options.max_batch = 64;
     options.max_queue = 1024;
     net::QueryPipeline pipeline(server, options);
-
-    std::atomic<std::size_t> next{0};
-    std::atomic<std::size_t> ok{0};
-    const std::size_t total = per_client * clients;
-    const auto t0 = Clock::now();
-    {
-      std::vector<std::thread> threads;
-      threads.reserve(clients);
-      for (unsigned c = 0; c < clients; ++c) {
-        threads.emplace_back([&] {
-          for (;;) {
-            const std::size_t i = next.fetch_add(1);
-            if (i >= total) return;
-            const auto result = pipeline.serve(bodies[i % bodies.size()]);
-            if (result.status == net::Status::kOk) ok.fetch_add(1);
-          }
+    const double pipeline_qps =
+        measure_qps(clients, total, bodies, [&](const Bytes& body) {
+          return pipeline.serve(body).status == net::Status::kOk;
         });
-      }
-      for (auto& t : threads) t.join();
-    }
-    const double secs = seconds_since(t0);
-    const double qps = static_cast<double>(ok.load()) / secs;
-    std::printf("%-10u %-12zu %14.0f\n", clients, options.max_batch, qps);
+    // The node's serving path without a pipeline attached.
+    const double direct_qps =
+        measure_qps(clients, total, bodies, [&](const Bytes& body) {
+          const auto request = oprf::parse_query_request(body);
+          if (!request) return false;
+          return !oprf::serialize(server.handle(*request)).empty();
+        });
+    std::printf("%-10u %-12zu %14.0f %14.0f\n", clients, options.max_batch,
+                pipeline_qps, direct_qps);
     summary.add({"pipeline/qps",
                  "threads=" + std::to_string(clients) +
                      ",max_batch=" + std::to_string(options.max_batch),
-                 1e9 / std::max(1.0, qps), 0.0, qps, "qps"});
+                 1e9 / std::max(1.0, pipeline_qps), 0.0, pipeline_qps, "qps"});
+    summary.add({"direct/qps", "threads=" + std::to_string(clients),
+                 1e9 / std::max(1.0, direct_qps), 0.0, direct_qps, "qps"});
   }
   std::printf("\n");
 }
@@ -275,7 +298,9 @@ int main(int argc, char** argv) {
       "batch (one field inversion amortized over N elements, ~2x+ by "
       "batch 64); batch_hash_to_group stays ~1x (Elligator cannot "
       "amortize); rebuild scales with threads; pipeline QPS rises with "
-      "concurrent clients as coalescing packs larger crypto batches.\n");
+      "concurrent clients as coalescing packs larger crypto batches; the "
+      "pipeline earns its place only where it beats direct QPS at the same "
+      "client count.\n");
 
   if (!json_path.empty() && summary.write(json_path)) {
     std::printf("\nwrote %s\n", json_path.c_str());

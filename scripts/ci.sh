@@ -35,10 +35,11 @@
 #                  report, or harness invariant violation aborts
 #  10. chaos-smoke Debug + ASan/UBSan: the seeded chaos harness
 #                  (tests/test_chaos) sweeps randomized fault schedules —
-#                  drops, corruption, blackouts, crash-restart, overload —
-#                  over thousands of queries. CBL_CHAOS_SEED (default
-#                  pinned) and CBL_CHAOS_QUERIES (per plan) are printed so
-#                  any failure replays bit-exactly
+#                  drops, corruption, blackouts, crash-restart, per-key
+#                  rate limiting — over thousands of queries.
+#                  CBL_CHAOS_SEED (default pinned) and CBL_CHAOS_QUERIES
+#                  (per plan) are printed so any failure replays
+#                  bit-exactly
 #  11. crash-smoke Debug + ASan/UBSan: the durable-state suite
 #                  (tests/test_store — journal/snapshot parsers, fault
 #                  injection, restart recovery) plus the crash-at-every-
@@ -54,20 +55,12 @@
 #                  wire bytes than the full bucket download it replaces
 #                  at >= 2 changed entries per 1k, and store recovery
 #                  must replay every appended journal record
-#  13. macro-smoke Release build of bench_macro (the open-loop macro-load
-#                  harness, src/load): scripts/check_bench_regression.py
-#                  self-tests, a fresh --quick run under the pinned
-#                  CBL_MACRO_SEED is gated against the committed
-#                  BENCH_macro.json baseline (>15% p99 or sustained-QPS
-#                  drift fails), and the doctored fixture
-#                  tests/fixtures/BENCH_macro_inflated_p99.json MUST fail
-#                  the gate — proving the gate is armed. The replay
-#                  command is printed before the run
 #
 # Usage:
 #   scripts/ci.sh [build-root]          # default build root: build-ci/
 #   scripts/ci.sh --list                # enumerate stages, one per line
 #   CBL_CI_STAGES="lint release" scripts/ci.sh    # run a subset
+#                                       # (an unknown stage name fails)
 #
 # Every run ends with a per-stage wall-clock timing summary. Any failure
 # (lint finding, configure, compile, or test) aborts. A stage whose tool
@@ -75,8 +68,7 @@
 set -euo pipefail
 
 all_stages=(lint clang-tidy thread-safety secret-flow release asan-ubsan
-            tsan ctcheck fuzz-smoke chaos-smoke crash-smoke perf-smoke
-            macro-smoke)
+            tsan ctcheck fuzz-smoke chaos-smoke crash-smoke perf-smoke)
 
 if [[ "${1:-}" == "--list" ]]; then
   printf '%s\n' "${all_stages[@]}"
@@ -94,6 +86,15 @@ if command -v ninja >/dev/null 2>&1; then
 fi
 
 want() { [[ " ${stages} " == *" $1 "* ]]; }
+
+# A misspelt or retired stage name would otherwise select nothing and
+# still end in "CI OK".
+for requested in ${stages}; do
+  if [[ " ${all_stages[*]} " != *" ${requested} "* ]]; then
+    echo "unknown CI stage '${requested}'; valid stages: ${all_stages[*]}" >&2
+    exit 2
+  fi
+done
 
 # stage -> why it did not run (a required tool is missing).
 declare -A not_run=()
@@ -446,43 +447,6 @@ mem_append = next(r["ns_per_op"] for r in appends
 print(f"perf-smoke OK: store append {mem_append:.0f}ns (mem), "
       "recovery replayed every record")
 EOF
-}
-
-stage_macro_smoke() {
-  local macro_dir="${build_root}/macro-smoke"
-  local macro_seed="${CBL_MACRO_SEED:-20260808}"
-  local fresh_json="${macro_dir}/BENCH_macro.fresh.json"
-  echo "=== [macro-smoke] configure (Release) ==="
-  cmake -S "${repo_root}" -B "${macro_dir}" "${generator_args[@]}" \
-    -DCMAKE_BUILD_TYPE=Release
-  echo "=== [macro-smoke] build bench_macro ==="
-  cmake --build "${macro_dir}" -j "${jobs}" --target bench_macro
-  echo "=== [macro-smoke] checker self-test ==="
-  python3 "${repo_root}/scripts/check_bench_regression.py" --self-test
-  echo "=== [macro-smoke] seed=${macro_seed} ==="
-  echo "=== [macro-smoke] replay with:" \
-    "${macro_dir}/bench/bench_macro --quick --seed ${macro_seed} ==="
-  "${macro_dir}/bench/bench_macro" --quick --seed "${macro_seed}" \
-    --json "${fresh_json}" >/dev/null
-  echo "=== [macro-smoke] gate fresh run vs committed BENCH_macro.json ==="
-  python3 "${repo_root}/scripts/check_bench_regression.py" \
-    --baseline "${repo_root}/BENCH_macro.json" \
-    --candidate "${fresh_json}"
-  echo "=== [macro-smoke] doctored fixture MUST fail (gate is armed) ==="
-  if python3 "${repo_root}/scripts/check_bench_regression.py" \
-      --baseline "${repo_root}/BENCH_macro.json" \
-      --candidate "${repo_root}/tests/fixtures/BENCH_macro_inflated_p99.json" \
-      2>"${macro_dir}/doctored.log"; then
-    echo "macro-smoke gate is NOT armed: the doctored fixture with an" \
-      "inflated p99 passed the regression check" >&2
-    exit 1
-  fi
-  grep -q "p99 regression" "${macro_dir}/doctored.log" || {
-    echo "doctored fixture failed for the wrong reason:" >&2
-    cat "${macro_dir}/doctored.log" >&2
-    exit 1
-  }
-  echo "=== [macro-smoke] OK: gate armed, trajectory within drift ==="
 }
 
 timing_summary=()

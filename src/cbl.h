@@ -22,7 +22,6 @@
 #include "game/sortition_math.h"
 #include "net/service_node.h"
 #include "netsim/capacity.h"
-#include "netsim/desim.h"
 #include "oprf/anonymity.h"
 #include "oprf/client.h"
 #include "oprf/keyword_store.h"

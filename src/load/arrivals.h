@@ -1,4 +1,4 @@
-// Open-loop Poisson arrival schedules in virtual nanoseconds.
+// Open-loop Poisson arrival schedules in nanoseconds from a start time.
 //
 // Why open-loop: a closed-loop driver (issue, wait, issue) can never
 // overload the service — its offered rate collapses to the service
@@ -8,8 +8,8 @@
 // r compose into one Poisson process at rate N*r, so a single arrival
 // stream at the aggregate rate is the faithful (and cheap) model of a
 // million-client population. Arrivals keep coming while the server is
-// saturated, the virtual queue genuinely builds, and overload behavior
-// (queue growth, shedding, retry-after) is actually exercised.
+// saturated, so queue growth, shedding and retry-after are actually
+// exercised.
 #pragma once
 
 #include <cstdint>

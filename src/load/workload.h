@@ -1,4 +1,4 @@
-// The macro workload model: an address universe with Zipf popularity,
+// The load workload model: an address universe with Zipf popularity,
 // a listed subset as ground truth, and per-query client-side
 // resolution modeling.
 //
@@ -8,7 +8,7 @@
 // aggregate cache effectiveness), and a clean-address query is
 // prefix-list-resolved with probability prefix_local_ratio on top of
 // whatever the in-process client's real prefix list short-circuits.
-// Modeled resolutions answer from ground truth at zero virtual cost;
+// Modeled resolutions answer from ground truth at zero cost;
 // everything else goes to the wire through the real client stack.
 #pragma once
 

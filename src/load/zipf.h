@@ -1,4 +1,4 @@
-// Zipf-distributed rank sampling for the macro-load workload model.
+// Zipf-distributed rank sampling for the load workload model.
 // Address popularity in deployed blocklist traffic is heavily skewed —
 // a small set of hot addresses (active scams, popular exchanges)
 // absorbs most queries — and Zipf(s) is the standard shape for that

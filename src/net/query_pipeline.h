@@ -9,10 +9,9 @@
 //
 // Backpressure is shed-before-enqueue: a query arriving at a full shard
 // queue is refused with kRateLimited (plus a retry hint) without ever
-// occupying a batch slot or touching crypto. Node-level admission
-// (NodeLimits) still runs first in BlocklistServiceNode, so the two
-// shedding layers compose: virtual-time overload is rejected before the
-// pipeline sees the frame, and real queue overflow is rejected here.
+// occupying a batch slot or touching crypto. This is the service's one
+// overload path: BlocklistServiceNode admits every frame and leaves
+// shedding to the pipeline.
 #pragma once
 
 #include <condition_variable>

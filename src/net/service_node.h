@@ -90,46 +90,37 @@ Bytes encode_info(const ServiceInfo& info);
 // wire:untrusted fuzz=fuzz_net_frame
 [[nodiscard]] std::optional<ServiceInfo> decode_info(ByteView data);
 
-/// Overload-shedding budget for a service node. With max_inflight > 0
-/// the node models a bounded service queue in virtual time (the obs
-/// registry clock): each query occupies the server for service_ms, and
-/// a query arriving when max_inflight are already queued is shed with
-/// kRateLimited (plus a retry-after hint) instead of queuing
-/// unboundedly — load-shedding beats collapse under a traffic storm.
+/// Serving limits of a service node. The node does no admission of its
+/// own: overload is shed by the attached QueryPipeline's bounded shard
+/// queue, and per-key quotas by OprfServer's rate limiter.
 struct NodeLimits {
-  double service_ms = 0.0;            // simulated per-query service time
-  unsigned max_inflight = 0;          // 0 = unlimited (no shedding)
-  /// Retry-after hint attached to rate-limiter rejections, in ms
-  /// (shedding computes its own hint from the queue depth). 0 = none.
+  /// Retry-after hint attached to rate-limiter rejections (and to
+  /// pipeline sheds that carry no hint of their own), in ms. 0 = none.
   std::uint32_t retry_after_hint_ms = 0;
 };
 
 class QueryPipeline;
 
-/// Per-query stage accounting delivered to the node's stage hook: the
-/// virtual-time queue wait charged by NodeLimits admission, plus real
-/// (steady-clock) CPU nanoseconds spent in each serving stage. For a
-/// shed query only parse_ns and queue-independent fields are meaningful.
-/// Load harnesses fold queue_wait_ms into end-to-end latency; the CPU
-/// fields feed the per-stage breakdown in BENCH_macro.json.
+/// Per-query stage accounting delivered to the node's stage hook: real
+/// (steady-clock) nanoseconds spent in each serving stage.
 struct QueryStageTiming {
-  double queue_wait_ms = 0.0;   // virtual-time wait behind the queue
-  double service_ms = 0.0;      // virtual service time charged on admit
   std::uint64_t parse_ns = 0;   // request-frame parsing
   std::uint64_t crypto_ns = 0;  // OPRF evaluation + response serialize
   std::uint64_t seal_ns = 0;    // response sealing (status + checksum)
-  bool shed = false;            // rejected by NodeLimits admission
+  /// Node-level shed. The node no longer sheds by itself, so this is
+  /// always false; remove it with the next benchmark change, which may
+  /// edit its one reader in wallbench/.
+  bool shed = false;
 };
 
 /// Binds an OprfServer to a transport endpoint. The destructor tears the
 /// endpoint down again, so a destroyed node is unreachable (drops) — the
 /// crash half of crash-restart — rather than a dangling handler.
 ///
-/// With a QueryPipeline attached, admitted queries are delegated to the
-/// pipeline's batched serving path (coalesced crypto, pipeline-level
-/// shedding) instead of calling OprfServer::handle inline; node-level
-/// admission (NodeLimits) still runs first, so shed load never reaches
-/// the pipeline. The pipeline must outlive the node.
+/// With a QueryPipeline attached, queries are delegated to the
+/// pipeline's batched serving path (coalesced crypto, shed-before-enqueue
+/// at a full shard queue) instead of calling OprfServer::handle inline.
+/// The pipeline must outlive the node.
 class BlocklistServiceNode {
  public:
   /// With a publisher attached the node serves the kTlog* methods; a
@@ -147,9 +138,9 @@ class BlocklistServiceNode {
 
   const std::string& endpoint() const { return endpoint_; }
 
-  /// Observes every kQuery frame, admitted or shed. Set it before
-  /// traffic starts — the hook is not synchronized against in-flight
-  /// frames. Pass nullptr (default) to disable.
+  /// Observes every kQuery frame. Set it before traffic starts — the
+  /// hook is not synchronized against in-flight frames. Pass nullptr
+  /// (default) to disable.
   using StageHook = std::function<void(const QueryStageTiming&)>;
   void set_stage_hook(StageHook hook) { stage_hook_ = std::move(hook); }
 
@@ -162,11 +153,6 @@ class BlocklistServiceNode {
   Bytes handle_tlog(Method method, ByteView body);
   obs::Counter& method_counter(Method method);
   obs::Counter& status_counter(Status status);
-  /// Returns the shed retry-after hint in ms when the query must be
-  /// shed, 0 when it was admitted (and the backlog charged). On
-  /// admission *queue_wait_ms receives the virtual-time backlog the
-  /// query waits behind before its own service slot.
-  std::uint32_t admit_or_shed_query(double* queue_wait_ms);
 
   Transport* transport_;
   std::string endpoint_;
@@ -175,8 +161,7 @@ class BlocklistServiceNode {
   NodeLimits limits_;
   QueryPipeline* pipeline_;  // optional batched serving path; not owned
   tlog::EpochPublisher* publisher_;  // optional transparency log; not owned
-  double busy_until_ms_ = 0.0;  // virtual-time end of the service queue
-  StageHook stage_hook_;        // optional per-query timing observer
+  StageHook stage_hook_;  // optional per-query timing observer
   // Per-method / per-status request accounting, resolved once.
   obs::Counter* requests_query_;
   obs::Counter* requests_prefix_list_;
@@ -186,13 +171,6 @@ class BlocklistServiceNode {
   obs::Counter* responses_ok_;
   obs::Counter* responses_bad_request_;
   obs::Counter* responses_rate_limited_;
-  obs::Counter* shed_;
-  // Per-stage CPU spend (real steady-clock ns, not virtual time) and
-  // virtual-time queue wait of admitted queries.
-  obs::Counter* stage_parse_ns_;
-  obs::Counter* stage_crypto_ns_;
-  obs::Counter* stage_seal_ns_;
-  obs::Histogram* queue_wait_ms_;
 };
 
 /// Retry policy for the remote client.

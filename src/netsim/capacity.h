@@ -19,7 +19,8 @@ struct ServerProfile {
 struct WorkloadProfile {
   double online_fraction = 0.01;       // f: queries needing interaction
   double queries_per_client_per_sec = 1.0;
-  double cpu_us_per_online_query = 80;  // measured from the real library
+  // Placeholder; bench_fig6 overwrites it with measure_online_cpu_us().
+  double cpu_us_per_online_query = 80;
   double response_bytes = 128;          // k * 32 B bucket payload
   double request_bytes = 64;            // prefix + masked point
 };

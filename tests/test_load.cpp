@@ -1,4 +1,5 @@
-// Deterministic unit tests for the macro-load building blocks: the
+// Deterministic unit tests for the load-generation building blocks of
+// src/load, which the wall-clock benchmark (wallbench/) drives: the
 // Zipf sampler (shape vs the closed-form pmf, seed replay), the
 // open-loop Poisson arrival schedule (mean/variance of gaps,
 // monotonicity), SLO accounting (histogram quantiles vs brute-force

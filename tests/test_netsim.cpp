@@ -1,18 +1,14 @@
-// Tests for the capacity model and discrete-event simulator behind
-// Fig. 6: closed-form sanity, agreement between model and simulation,
-// and the CPU-bound vs bandwidth-bound crossover.
+// Tests for the closed-form capacity model behind Fig. 6: hand-checked
+// values, monotonicity, and the CPU-bound vs bandwidth-bound crossover.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <limits>
-#include "common/rng.h"
+
 #include "netsim/capacity.h"
-#include "netsim/desim.h"
 
 namespace cbl::netsim {
 namespace {
-
-using cbl::ChaChaRng;
 
 TEST(Capacity, ClosedFormHandChecked) {
   ServerProfile server;
@@ -68,67 +64,6 @@ TEST(Capacity, LargeResponsesAreBandwidthBound) {
   EXPECT_FALSE(estimate_capacity(server, large).cpu_limited);
   EXPECT_GT(estimate_capacity(server, small).max_concurrent_clients,
             estimate_capacity(server, large).max_concurrent_clients);
-}
-
-TEST(Desim, StableWellBelowCapacity) {
-  auto rng = ChaChaRng::from_string_seed("desim-stable");
-  ServerProfile server;
-  server.cpu_cores = 2;
-  server.bandwidth_bits_per_sec = 1e8;
-  WorkloadProfile w;
-  w.online_fraction = 0.01;
-  w.cpu_us_per_online_query = 200;
-  w.response_bytes = 2000;
-  SimConfig cfg;
-  cfg.duration_sec = 10;
-
-  const auto est = estimate_capacity(server, w);
-  const auto result = simulate(
-      server, w, static_cast<std::uint64_t>(est.max_concurrent_clients / 4),
-      cfg, rng);
-  EXPECT_TRUE(result.stable);
-  EXPECT_LT(result.cpu_utilization, 0.6);
-  EXPECT_GT(result.online_queries, 0u);
-  EXPECT_GT(result.local_queries, result.online_queries);
-}
-
-TEST(Desim, UnstableWellAboveCapacity) {
-  auto rng = ChaChaRng::from_string_seed("desim-unstable");
-  ServerProfile server;
-  server.cpu_cores = 2;
-  server.bandwidth_bits_per_sec = 1e8;
-  WorkloadProfile w;
-  w.online_fraction = 0.01;
-  w.cpu_us_per_online_query = 200;
-  w.response_bytes = 2000;
-  SimConfig cfg;
-  cfg.duration_sec = 10;
-
-  const auto est = estimate_capacity(server, w);
-  const auto result = simulate(
-      server, w, static_cast<std::uint64_t>(est.max_concurrent_clients * 4),
-      cfg, rng);
-  EXPECT_FALSE(result.stable);
-}
-
-TEST(Desim, BinarySearchAgreesWithClosedForm) {
-  auto rng = ChaChaRng::from_string_seed("desim-knee");
-  ServerProfile server;
-  server.cpu_cores = 1;
-  server.bandwidth_bits_per_sec = 1e8;
-  WorkloadProfile w;
-  w.online_fraction = 0.02;
-  w.cpu_us_per_online_query = 500;
-  w.response_bytes = 4000;
-  SimConfig cfg;
-  cfg.duration_sec = 8;
-
-  const auto est = estimate_capacity(server, w);
-  const auto knee = find_max_stable_clients(server, w, cfg, rng);
-  // The simulated knee should be within ~35% of the closed form (the sim
-  // tolerates transient backlog, so it can sit slightly above).
-  EXPECT_GT(static_cast<double>(knee), est.max_concurrent_clients * 0.65);
-  EXPECT_LT(static_cast<double>(knee), est.max_concurrent_clients * 1.35);
 }
 
 }  // namespace
